@@ -4,8 +4,9 @@
 :func:`repro.core.lambda_sweep.sweep_lambda` twice over the same
 budgets — once through the shared-Gram, warm-started
 :class:`~repro.core.path_engine.LambdaPathEngine` and once through the
-pre-engine sequential path (``warm_start=False``, ``reuse_gram=False``,
-``probe_tol=None``) — and records wall times, the speedup, and a
+sequential baseline (``warm_start=False``, ``probe_tol=None``: every
+budget refit from scratch on a fresh engine, every probe solved at the
+strict tolerance) — and records wall times, the speedup, and a
 per-budget fidelity report (sensor counts, Jaccard overlap of the
 selected sets, relative errors) to a JSON file.
 
@@ -327,7 +328,7 @@ def run(
 
     if not skip_baseline:
         baseline_config = PipelineConfig(
-            budget=float(budgets[0]), reuse_gram=False, probe_tol=None
+            budget=float(budgets[0]), probe_tol=None
         )
         with obs.use_registry(obs.MetricsRegistry()):
             t0 = time.perf_counter()

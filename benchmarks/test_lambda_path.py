@@ -2,8 +2,9 @@
 
 Times one full Table 1-style sweep through the shared-Gram,
 warm-started :class:`~repro.core.path_engine.LambdaPathEngine` and one
-through the pre-engine sequential path, and checks they select the same
-sensors.  ``benchmarks/run_bench.py`` produces the committed
+through the sequential baseline (no warm starts, strict probes), and
+checks they select the same sensors.  ``benchmarks/run_bench.py``
+produces the committed
 ``BENCH_sweep.json`` from the same configuration.
 """
 
@@ -35,9 +36,7 @@ def _baseline_sweep(dataset):
     return sweep_lambda(
         dataset,
         BUDGETS,
-        base_config=PipelineConfig(
-            budget=BUDGETS[0], reuse_gram=False, probe_tol=None
-        ),
+        base_config=PipelineConfig(budget=BUDGETS[0], probe_tol=None),
         rng=0,
         warm_start=False,
     )

@@ -65,7 +65,6 @@ class GroupLassoPlacer(Placer):
         lambda_: Optional[float] = None,
         threshold: float = DEFAULT_THRESHOLD,
         rtol: float = 1e-2,
-        method: str = "fista",
         screen: bool = False,
         budget_lo: float = 1e-3,
         budget_hi: Optional[float] = None,
@@ -82,7 +81,6 @@ class GroupLassoPlacer(Placer):
         self.lambda_ = lambda_
         self.threshold = threshold
         self.rtol = rtol
-        self.method = method
         self.screen = bool(screen)
         self.budget_lo = budget_lo
         self.budget_hi = budget_hi
@@ -106,7 +104,6 @@ class GroupLassoPlacer(Placer):
                     budget=lam,
                     threshold=self.threshold,
                     rtol=self.rtol,
-                    method=self.method,
                     stats=stats,
                     warm=warm,
                     screen=(True if self.screen else None),

@@ -15,18 +15,22 @@ sensors.
 This module implements the problem from scratch (no sklearn):
 
 * :func:`group_lasso_penalized` solves the equivalent Lagrangian form
-  ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2`` by block
-  coordinate descent with exact closed-form group updates (features are
-  expected standardized, but the solver handles general scaling).
+  ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2`` by FISTA with
+  vectorized group proximal steps (features are expected standardized,
+  but the solver handles general scaling).
 * :func:`group_lasso_constrained` recovers the paper's budget form by a
   monotone bisection on ``mu`` such that ``sum_m ||B_m||_2`` meets the
   budget ``lambda`` — Lagrangian duality makes the mapping monotone.
+  Probes that only locate the bracket may run at a loose tolerance;
+  every verdict and result that matters is taken from one polish step,
+  a strict warm-started re-solve.
 
-Unlike the interior-point SOCP solver the paper references, coordinate
-descent returns *exactly* zero columns for unselected sensors, so the
-selection threshold T separates selected from unselected sensors by
-construction (the paper's Fig. 1 shows the same separation with tiny
-numerical residues instead of exact zeros).
+Unlike the interior-point SOCP solver the paper references, the solver
+returns *exactly* zero columns for unselected sensors (sub-tolerance
+residues of inactive groups are zeroed), so the selection threshold T
+separates selected from unselected sensors by construction (the paper's
+Fig. 1 shows the same separation with tiny numerical residues instead
+of exact zeros).
 """
 
 from __future__ import annotations
@@ -67,9 +71,9 @@ class GroupLassoResult:
     objective:
         Final penalized objective value.
     n_iterations:
-        Block-coordinate sweeps performed.
+        FISTA iterations performed.
     converged:
-        Whether the sweep-to-sweep tolerance was met.
+        Whether the iteration-to-iteration tolerance was met.
     final_residual:
         Relative coefficient change at the last iteration (the
         convergence criterion value); 0.0 for solves that needed no
@@ -190,12 +194,12 @@ class SufficientStats:
         """Smallest penalty at which the all-zero solution is optimal.
 
         Each group's activation threshold at ``B = 0`` is ``||A[m]||_2``
-        (both solvers zero group ``m`` exactly when the residual
-        correlation norm is ``<= mu``), so the max row norm of ``A`` is
-        the path start: ``B(mu_max) == 0`` exactly, for FISTA and BCD
-        alike — pinned by regression tests, and the soundness anchor of
-        the sequential strong rule's step 0 (whose reference residuals
-        are the rows of ``A`` themselves).
+        (the group proximal step zeroes group ``m`` exactly when its
+        residual correlation norm is ``<= mu``), so the max row norm of
+        ``A`` is the path start: ``B(mu_max) == 0`` exactly — pinned by
+        regression tests, and the soundness anchor of the sequential
+        strong rule's step 0 (whose reference residuals are the rows of
+        ``A`` themselves).
         """
         if self.A.size == 0:
             return 0.0
@@ -203,10 +207,10 @@ class SufficientStats:
         top = float(norms.max())
         if top == 0.0:
             return 0.0
-        # The BCD sweep measures each residual row with the 1-D norm
-        # kernel, whose summation order can land one ulp above the
-        # axis-reduced value computed here; re-measure the near-max rows
-        # with that same kernel so no group's threshold exceeds mu_max.
+        # The 1-D norm kernel's summation order can land one ulp above
+        # the axis-reduced value computed here; re-measure the near-max
+        # rows with it so no group's threshold, however it is measured,
+        # exceeds mu_max.
         near = np.nonzero(norms >= top * (1.0 - 1e-12))[0]
         return max(top, *(float(np.linalg.norm(self.A[m])) for m in near))
 
@@ -380,7 +384,6 @@ def _solve_screened(
     max_iter: int,
     tol: float,
     warm_start: Optional[np.ndarray],
-    method: str,
 ) -> GroupLassoResult:
     """One screened penalized solve: slice, solve, KKT-check, re-admit."""
     check_positive(mu, "mu")
@@ -408,7 +411,7 @@ def _solve_screened(
         sub = screener.slice(surv)
         res = group_lasso_penalized(
             None, None, mu, max_iter=max_iter, tol=tol,
-            warm_start=warm[:, surv], method=method, stats=sub,
+            warm_start=warm[:, surv], stats=sub,
         )
         B = np.zeros((n_responses, n_features))
         B[:, surv] = res.coef
@@ -443,52 +446,6 @@ def _solve_screened(
     )
 
 
-def _refine_screened(
-    screener: StrongRuleScreener,
-    mu: float,
-    B0: np.ndarray,
-    tol: float = 1e-9,
-) -> Optional[np.ndarray]:
-    """Screened :func:`_active_refine`: refine on the survivor slice,
-    KKT-check the discarded set exactly, re-admit and repeat.
-
-    Returns the refined full-width coefficients, or ``None`` when the
-    slice refinement stalls (callers fall back to a strict screened
-    first-order solve).
-    """
-    stats = screener.stats
-    n_features, n_responses = stats.n_features, stats.n_responses
-    B = np.array(B0, dtype=float, copy=True)
-    keep = np.nonzero(np.linalg.norm(B, axis=0) > 0)[0]
-    surv = screener.survivors(mu, keep)
-    readmitted = 0
-    for _round in range(n_features + 1):
-        sub = screener.slice(surv)
-        refined = _active_refine(sub.S, sub.A, sub.diag_S, mu, B[:, surv], tol=tol)
-        if refined is None:
-            return None
-        B = np.zeros((n_responses, n_features))
-        B[:, surv] = refined
-        active = surv[np.linalg.norm(refined, axis=0) > 0]
-        C = stats.dual_residual(B, active)
-        c_norms = np.linalg.norm(C, axis=1)
-        viol = (c_norms > mu * (1.0 + 1e-8)) & (stats.diag_S > 1e-15)
-        viol[surv] = False
-        if not np.any(viol):
-            screener.update(c_norms, mu)
-            if readmitted:
-                screener.n_violations += readmitted
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("path.kkt_violations").inc(readmitted)
-            return B
-        idx = np.nonzero(viol)[0]
-        readmitted += idx.size
-        B[:, idx] = ((1.0 - mu / c_norms[idx]) / stats.diag_S[idx]) * C[idx].T
-        surv = np.union1d(surv, idx)
-    return None
-
-
 def _objective(
     B: np.ndarray,
     S: np.ndarray,
@@ -505,50 +462,6 @@ def _objective(
     Aa = A[active, :]
     fit = gram_G - 2.0 * float(np.sum(Ba * Aa.T)) + float(np.sum((Ba @ Sa) * Ba))
     return 0.5 * fit + mu * float(np.linalg.norm(Ba, axis=0).sum())
-
-
-def _sweep(
-    B: np.ndarray,
-    groups: np.ndarray,
-    S: np.ndarray,
-    A: np.ndarray,
-    diag_S: np.ndarray,
-    mu: float,
-) -> float:
-    """One pass of block updates over ``groups``; returns max coef change."""
-    max_delta = 0.0
-    active_mask = np.linalg.norm(B, axis=0) > 0
-    active_idx = np.nonzero(active_mask)[0]
-    for m in groups:
-        s_mm = diag_S[m]
-        if s_mm <= 1e-15:
-            # Constant/empty feature: it cannot explain anything.
-            if active_mask[m]:
-                B[:, m] = 0.0
-                active_mask[m] = False
-                active_idx = np.nonzero(active_mask)[0]
-            continue
-        # Residual correlation c_m = A[m] - sum_{j != m} B_j * S[j, m].
-        if active_idx.size:
-            c = A[m] - B[:, active_idx] @ S[active_idx, m]
-        else:
-            c = A[m].copy()
-        if active_mask[m]:
-            c = c + B[:, m] * s_mm
-        norm_c = float(np.linalg.norm(c))
-        if norm_c <= mu:
-            new_col = np.zeros(B.shape[0])
-        else:
-            new_col = (1.0 - mu / norm_c) * c / s_mm
-        delta = float(np.max(np.abs(new_col - B[:, m]))) if B.shape[0] else 0.0
-        if delta > 0:
-            B[:, m] = new_col
-            now_active = bool(np.any(new_col))
-            if now_active != active_mask[m]:
-                active_mask[m] = now_active
-                active_idx = np.nonzero(active_mask)[0]
-        max_delta = max(max_delta, delta)
-    return max_delta
 
 
 def _spectral_bound(S: np.ndarray, n_iter: int = 80, seed: int = 0) -> float:
@@ -572,138 +485,6 @@ def _spectral_bound(S: np.ndarray, n_iter: int = 80, seed: int = 0) -> float:
         lam = norm
         v = w / norm
     return 1.05 * lam
-
-
-def _active_refine(
-    S: np.ndarray,
-    A: np.ndarray,
-    diag_S: np.ndarray,
-    mu: float,
-    B0: np.ndarray,
-    tol: float = 1e-9,
-    max_rounds: int = 30,
-    inner_max: int = 60,
-) -> Optional[np.ndarray]:
-    """Refine a near-solution of the penalized problem to high accuracy.
-
-    First-order solvers crawl through their final digits on the
-    ill-conditioned problems the budget bisection probes (the
-    1e-5 -> 1e-7 tail can cost thousands of iterations); this solves
-    the *active-set* problem by a damped Newton method instead.  On
-    the active groups the objective is smooth with Hessian
-    ``kron(S_aa, I_K) + blockdiag(mu (I/n_m - b_m b_m^T / n_m^3))`` —
-    a system of only ``|active| * K`` unknowns, solved directly.
-    Levenberg-style damping is escalated whenever the Newton direction
-    fails to descend (near-singular S blocks), and an Armijo
-    backtracking line search guards each step.  A KKT screen over the
-    inactive groups (``||A_m - S_m B^T|| <= mu``) then activates any
-    violators — seeded with their exact single-group update — and the
-    refinement repeats until the screen is clean.
-
-    Returns the refined ``(K, M)`` coefficients, or ``None`` when the
-    iteration stalls (callers fall back to the first-order solver).
-    """
-    check_positive(mu, "mu")
-    B = np.array(B0, dtype=float, copy=True)
-    n_features = S.shape[0]
-    n_responses = A.shape[1]
-    eye_k = np.eye(n_responses)
-    for _ in range(max_rounds):
-        active = np.nonzero(np.linalg.norm(B, axis=0) > 0)[0]
-        converged_inner = active.size == 0
-        for _ in range(inner_max):
-            if active.size == 0:
-                converged_inner = True
-                break
-            Ba = B[:, active]
-            norms = np.linalg.norm(Ba, axis=0)
-            keep = norms > 1e-12
-            if not np.all(keep):
-                B[:, active[~keep]] = 0.0
-                active = active[keep]
-                continue
-            a = active.size
-            Saa = S[np.ix_(active, active)]
-            Aa = A[active, :]
-            Gmat = Ba @ Saa - Aa.T + mu * Ba / norms
-            gscale = max(1.0, float(np.max(np.abs(Aa))))
-            gmax = float(np.max(np.abs(Gmat)))
-            if gmax <= tol * gscale:
-                converged_inner = True
-                break
-            H0 = np.kron(Saa, eye_k)
-            for j in range(a):
-                bj = Ba[:, j]
-                nj = norms[j]
-                sl = slice(j * n_responses, (j + 1) * n_responses)
-                H0[sl, sl] += (mu / nj) * (
-                    eye_k - np.outer(bj, bj) / (nj * nj)
-                )
-            gvec = Gmat.T.reshape(-1)
-
-            def obj(Bc: np.ndarray) -> float:
-                return (
-                    0.5 * float(np.sum((Bc @ Saa) * Bc))
-                    - float(np.sum(Bc * Aa.T))
-                    + mu * float(np.linalg.norm(Bc, axis=0).sum())
-                )
-
-            f0 = obj(Ba)
-            lam = 1e-10 * max(float(np.trace(H0)) / H0.shape[0], 1e-12)
-            accepted = None
-            for _attempt in range(12):
-                H = H0.copy()
-                H[np.diag_indices_from(H)] += lam
-                try:
-                    step = np.linalg.solve(H, gvec)
-                except np.linalg.LinAlgError:
-                    lam *= 100.0
-                    continue
-                descent = float(np.dot(gvec, step))
-                if descent <= 0.0:
-                    lam *= 100.0
-                    continue
-                Step = step.reshape(a, n_responses).T
-                t = 1.0
-                for _ls in range(20):
-                    Bn = Ba - t * Step
-                    if obj(Bn) <= f0 - 1e-4 * t * descent:
-                        accepted = Bn
-                        break
-                    if t * float(np.max(np.abs(Step))) <= tol * max(
-                        1.0, float(np.max(np.abs(Ba)))
-                    ):
-                        break
-                    t *= 0.5
-                if accepted is not None:
-                    break
-                lam *= 100.0
-            if accepted is None:
-                if gmax <= 1e-6 * gscale:
-                    # Line search exhausted at floating-point noise
-                    # but the gradient is already tighter than the
-                    # first-order solver's tail — good enough.
-                    converged_inner = True
-                    break
-                return None
-            delta = float(np.max(np.abs(accepted - Ba)))
-            B[:, active] = accepted
-            scale = max(1.0, float(np.max(np.abs(accepted))))
-            if delta <= tol * scale:
-                converged_inner = True
-                break
-        if not converged_inner:
-            return None
-        C = A - S @ B.T
-        c_norms = np.linalg.norm(C, axis=1)
-        inactive = np.ones(n_features, dtype=bool)
-        inactive[active] = False
-        viol = inactive & (c_norms > mu * (1.0 + 1e-8)) & (diag_S > 1e-15)
-        if not np.any(viol):
-            return B
-        idx = np.nonzero(viol)[0]
-        B[:, idx] = ((1.0 - mu / c_norms[idx]) / diag_S[idx]) * C[idx].T
-    return None
 
 
 def _fista(
@@ -769,11 +550,14 @@ def group_lasso_penalized(
     max_iter: int = 20000,
     tol: float = 1e-7,
     warm_start: Optional[np.ndarray] = None,
-    method: str = "fista",
     stats: Optional[SufficientStats] = None,
     screen: Optional[StrongRuleScreener] = None,
 ) -> GroupLassoResult:
-    """Solve ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2``.
+    """Solve ``min 1/2 ||G - Z B^T||_F^2 + mu * sum_m ||B_m||_2`` by FISTA.
+
+    Accelerated proximal gradient with adaptive restart; every group's
+    proximal update is vectorized, which keeps it robust and fast on
+    the near-collinear features power-grid voltages produce.
 
     Parameters
     ----------
@@ -786,7 +570,7 @@ def group_lasso_penalized(
     mu:
         Group penalty weight (>= 0; 0 reduces to OLS on all features).
     max_iter:
-        Iteration cap (FISTA iterations or coordinate sweeps).
+        FISTA iteration cap.
     tol:
         Convergence threshold on the largest coefficient change per
         iteration, relative to the largest coefficient magnitude.
@@ -794,12 +578,6 @@ def group_lasso_penalized(
         Optional ``(K, M)`` initial coefficients (e.g. the solution at
         a nearby ``mu``), which makes penalty sweeps dramatically
         faster.
-    method:
-        ``"fista"`` (default) — accelerated proximal gradient with all
-        group updates vectorized; robust to the near-collinear features
-        power-grid voltages produce.  ``"bcd"`` — classic block
-        coordinate descent with exact closed-form block updates; exact
-        sparsity, but slow when many correlated groups are active.
     stats:
         Optional precomputed :class:`SufficientStats` for ``(Z, G)``.
         When given, no Gram matrix is recomputed (``Z``/``G`` are not
@@ -821,23 +599,20 @@ def group_lasso_penalized(
 
     Notes
     -----
-    Both methods solve the same convex problem; tests cross-validate
-    them against each other.  FISTA leaves tiny (sub-``tol``) residues
-    on inactive groups, which are zeroed before returning so both
-    methods report exact group sparsity.
+    FISTA leaves tiny (sub-``tol``) residues on inactive groups; they
+    are zeroed before returning, so the result reports exact group
+    sparsity.  Tests check solutions against the KKT conditions.
     """
     check_non_negative(mu, "mu")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     check_positive(tol, "tol")
-    if method not in ("fista", "bcd"):
-        raise ValueError(f"unknown method {method!r}; use 'fista' or 'bcd'")
     if screen is not None:
         if stats is not None and stats is not screen.stats:
             raise ValueError(
                 "stats and screen.stats must be the same object"
             )
-        return _solve_screened(screen, mu, max_iter, tol, warm_start, method)
+        return _solve_screened(screen, mu, max_iter, tol, warm_start)
     stats_reused = stats is not None
     if stats is None:
         if Z is None or G is None:
@@ -848,7 +623,7 @@ def group_lasso_penalized(
             "lazy SufficientStats require screening; pass screen= or "
             "solve on a slice()"
         )
-    S, A, diag_S, gram_G = stats.S, stats.A, stats.diag_S, stats.gram_G
+    S, A, gram_G = stats.S, stats.A, stats.gram_G
     n_features = stats.n_features
     n_responses = stats.n_responses
 
@@ -863,50 +638,24 @@ def group_lasso_penalized(
 
     registry = get_registry()
     _t0 = _time.perf_counter() if registry.enabled else 0.0
-    if method == "fista":
-        B, sweeps, converged, residual = _fista(
-            B, S, A.T.copy(), mu, max_iter, tol, L=stats.lipschitz
-        )
-        # Zero out sub-threshold residues so inactive groups are exactly
-        # zero, matching the BCD sparsity pattern.  At the optimum,
-        # inactive groups satisfy ||grad_m|| <= mu strictly; their FISTA
-        # residues are O(tol) while active groups are O(1).
-        if mu > 0:
-            norms = np.linalg.norm(B, axis=0)
-            scale = max(1.0, float(norms.max()) if norms.size else 1.0)
-            B[:, norms <= 10.0 * tol * scale] = 0.0
-    else:
-        all_groups = np.arange(n_features)
-        converged = False
-        sweeps = 0
-        residual = 0.0
-        while sweeps < max_iter:
-            # Full sweep: may activate/deactivate any group.
-            delta = _sweep(B, all_groups, S, A, diag_S, mu)
-            sweeps += 1
-            scale = max(1.0, float(np.max(np.abs(B))) if B.size else 1.0)
-            residual = delta / scale
-            if delta <= tol * scale:
-                converged = True
-                break
-            # Inner sweeps on the active set only (cheap).
-            while sweeps < max_iter:
-                active = np.nonzero(np.linalg.norm(B, axis=0) > 0)[0]
-                if active.size == 0:
-                    break
-                delta = _sweep(B, active, S, A, diag_S, mu)
-                sweeps += 1
-                scale = max(1.0, float(np.max(np.abs(B))))
-                residual = delta / scale
-                if delta <= tol * scale:
-                    break
+    B, iterations, converged, residual = _fista(
+        B, S, A.T.copy(), mu, max_iter, tol, L=stats.lipschitz
+    )
+    # Zero out sub-threshold residues so inactive groups are exactly
+    # zero.  At the optimum, inactive groups satisfy ||grad_m|| <= mu
+    # strictly; their FISTA residues are O(tol) while active groups are
+    # O(1).
+    if mu > 0:
+        norms = np.linalg.norm(B, axis=0)
+        scale = max(1.0, float(norms.max()) if norms.size else 1.0)
+        B[:, norms <= 10.0 * tol * scale] = 0.0
 
     if registry.enabled:
         registry.timer("group_lasso.penalized").record(
             _time.perf_counter() - _t0
         )
         registry.counter("group_lasso.solves").inc()
-        registry.counter("group_lasso.iterations").inc(sweeps)
+        registry.counter("group_lasso.iterations").inc(iterations)
         if stats_reused:
             registry.counter("path.gram_reuse").inc()
 
@@ -915,7 +664,7 @@ def group_lasso_penalized(
         coef=B,
         penalty=mu,
         objective=_objective(B, S, A, gram_G, mu, active),
-        n_iterations=sweeps,
+        n_iterations=iterations,
         converged=converged,
         final_residual=residual,
     )
@@ -929,10 +678,8 @@ def group_lasso_constrained(
     max_bisections: int = 40,
     solver_max_iter: int = 20000,
     solver_tol: float = 1e-7,
-    method: str = "fista",
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen: "bool | StrongRuleScreener | None" = None,
 ) -> GroupLassoResult:
@@ -950,29 +697,25 @@ def group_lasso_constrained(
         Relative tolerance on meeting the budget.
     max_bisections:
         Maximum bisection steps on the dual penalty.
-    solver_max_iter, solver_tol, method:
+    solver_max_iter, solver_tol:
         Passed to the inner penalized solver.
     stats:
         Optional precomputed :class:`SufficientStats` for ``(Z, G)``.
-        When given, the whole path-following + bisection runs without
-        recomputing a single Gram matrix.
+        Built once per call when not given; either way the whole
+        path-following + bisection shares one Gram computation.
     warm:
         Optional :class:`WarmState` from a constrained solve on the
         same ``(Z, G)`` at a nearby budget; the dual-penalty path
         starts from its penalty instead of ``mu_max`` and every solve
         is seeded with its coefficients.  Counted in the
         ``sweep.warm_start_hits`` metric.
-    reuse_gram:
-        When ``False``, every inner penalized solve recomputes its own
-        Gram statistics (the pre-path-engine behaviour); kept as a
-        benchmark baseline and for bit-identity tests.
     probe_tol:
         Optional looser tolerance for the *probe* solves that only
         locate the dual-penalty bracket (their ``norm_sum`` needs
-        ``rtol`` accuracy, not ``solver_tol``).  The returned solution
-        is always re-polished at ``solver_tol`` and re-checked against
-        the budget.  ``None`` (default) runs every solve at
-        ``solver_tol`` — the pre-path-engine behaviour.
+        ``rtol`` accuracy, not ``solver_tol``).  Every feasibility
+        verdict a loose probe cannot be trusted with, and the returned
+        solution, come from a strict warm re-solve at ``solver_tol``.
+        ``None`` (default) runs every solve at ``solver_tol``.
     screen:
         Strong-rule group screening (see :class:`StrongRuleScreener`).
         ``None``/``False`` (default) disables it — the unscreened path
@@ -1006,19 +749,14 @@ def group_lasso_constrained(
     and the total iterations spent along the warm-started path.
     """
     registry = get_registry()
-    if not registry.enabled:
-        return _constrained(
-            Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, reuse_gram=reuse_gram,
-            probe_tol=probe_tol, screen=screen,
-        )
-    with span("fit.group_lasso", budget=float(budget)) as sp:
+    with span("fit.group_lasso", registry, budget=float(budget)) as sp:
         iters_before = registry.counter("group_lasso.iterations").value
         result = _constrained(
             Z, G, budget, rtol, max_bisections, solver_max_iter, solver_tol,
-            method, stats=stats, warm=warm, reuse_gram=reuse_gram,
-            probe_tol=probe_tol, screen=screen,
+            stats=stats, warm=warm, probe_tol=probe_tol, screen=screen,
         )
+        if not registry.enabled:
+            return result
         total_iterations = (
             registry.counter("group_lasso.iterations").value - iters_before
         )
@@ -1046,10 +784,8 @@ def _constrained(
     max_bisections: int,
     solver_max_iter: int,
     solver_tol: float,
-    method: str,
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen: "bool | StrongRuleScreener | None" = None,
 ) -> GroupLassoResult:
@@ -1075,14 +811,13 @@ def _constrained(
         raise ValueError(
             "lazy SufficientStats require screening; pass screen=True"
         )
-    inner_stats = stats if reuse_gram else None
     n_responses, n_features = stats.n_responses, stats.n_features
     registry = get_registry()
 
-    # Slack check without coordinate descent: if even the unpenalized
+    # Slack check without a penalized solve: if even the unpenalized
     # (OLS) solution fits inside the budget, the constraint is inactive.
     # lstsq handles the highly correlated candidate columns exactly,
-    # where coordinate descent at mu ~ 0 would crawl.  The solution is
+    # where a first-order solver at mu ~ 0 would crawl.  The solution is
     # cached on the stats, so bisections over budgets pay for it once.
     ols_coef, ols_norm_sum = stats.ols(Z, G)
     if ols_norm_sum <= budget * (1.0 + rtol):
@@ -1128,69 +863,20 @@ def _constrained(
         return group_lasso_penalized(
             Z, G, mu, max_iter=solver_max_iter,
             tol=bracket_tol if tol is None else tol,
-            warm_start=warm_coef, method=method,
-            stats=stats if screener is not None else inner_stats,
-            screen=screener,
+            warm_start=warm_coef, stats=stats, screen=screener,
         )
-
-    def certify(result: GroupLassoResult) -> GroupLassoResult:
-        """Fully-converged solution at ``result.penalty``, warm from it.
-
-        Uses the second-order active-set refiner, which reaches (and
-        exceeds) ``solver_tol`` accuracy in a handful of small linear
-        solves where warm-started FISTA would crawl through thousands
-        of iterations; falls back to strict FISTA if the refinement
-        stalls.
-
-        Only the *norm sum* of a certified result is meaningful to the
-        caller: on degenerate (correlated) problems the optimum is not
-        unique, and the refiner lands on whichever optimum is nearest
-        its starting point.  Use it for feasibility verdicts; return
-        :func:`polish` output to the caller.
-        """
-        if screener is not None:
-            refined = _refine_screened(screener, result.penalty, result.coef)
-        else:
-            refined = _active_refine(
-                stats.S, stats.A, stats.diag_S, result.penalty, result.coef
-            )
-        if refined is None:
-            return solve(result.penalty, result.coef.copy(), tol=solver_tol)
-        active = np.nonzero(np.linalg.norm(refined, axis=0) > 0)[0]
-        if screener is not None:
-            if active.size:
-                sub = screener.slice(active)
-                objective = _objective(
-                    refined[:, active], sub.S, sub.A, stats.gram_G,
-                    result.penalty, np.arange(active.size),
-                )
-            else:
-                objective = 0.5 * stats.gram_G
-        else:
-            objective = _objective(
-                refined, stats.S, stats.A, stats.gram_G,
-                result.penalty, active,
-            )
-        return GroupLassoResult(
-            coef=refined,
-            penalty=result.penalty,
-            objective=objective,
-            n_iterations=max(1, result.n_iterations),
-            converged=True,
-            final_residual=0.0,
-        )
-
 
     def polish(result: GroupLassoResult) -> GroupLassoResult:
-        """Strict-tolerance first-order re-solve, warm from ``result``.
+        """Strict-tolerance re-solve at ``result.penalty``, warm from it.
 
-        This is what the caller receives.  The degenerate scopes of
-        this problem class have non-unique optima, and *which* optimum
-        a solver reaches is part of the contract: the proximal solver's
+        The one certify/polish step: it settles every feasibility
+        verdict a loose probe cannot be trusted with, and it produces
+        what the caller receives.  The degenerate scopes of this
+        problem class have non-unique optima, and *which* optimum a
+        solver reaches is part of the contract: the proximal solver's
         shrinkage concentrates mass on the same groups whether it runs
         loose-then-polished or strict throughout, so polished results
-        match the all-strict (``probe_tol=None``) path — a
-        second-order refinement would not (see :func:`certify`).
+        match the all-strict (``probe_tol=None``) path.
         """
         return solve(result.penalty, result.coef.copy(), tol=solver_tol)
 
@@ -1257,7 +943,7 @@ def _constrained(
     # but a feasible verdict whose norm sum has *stalled* is suspect:
     # the OLS slack check already proved the true norm sum must grow
     # past the budget as mu falls, so a frozen value means the loose
-    # solve stopped prematurely and must be certified before it may
+    # solve stopped prematurely and must be polished before it may
     # extend the walk.
     prev_ns = 0.0
     for _ in range(120):
@@ -1270,7 +956,7 @@ def _constrained(
             and used <= budget
             and used <= prev_ns * (1.0 + 1e-3)
         ):
-            result = certify(result)
+            result = polish(result)
             warm_coef = result.coef.copy()
             used = result.norm_sum()
         prev_ns = used
@@ -1287,18 +973,18 @@ def _constrained(
                 break
             k += 1
 
-    # Certify the feasible endpoint at solver_tol: a loose walk probe
+    # Polish the feasible endpoint at solver_tol: a loose walk probe
     # understates its norm sum (FISTA's relative-change criterion can
     # trigger while the coefficients are still growing), so what
-    # looked feasible may not be.  If certification flips the verdict,
-    # the endpoint becomes a *certified* infeasible lo bound and the
+    # looked feasible may not be.  If polishing flips the verdict, the
+    # endpoint becomes a strictly-verified infeasible lo bound and the
     # walk repairs upward — larger penalties mean sparser, cheaper
     # solves, so the repair path costs little.
     if bracket_tol > solver_tol and lo_mu is not None:
         while hi_result is not None:
-            certified = certify(hi_result)
-            if certified.norm_sum() <= budget:
-                hi_result = certified
+            polished = polish(hi_result)
+            if polished.norm_sum() <= budget:
+                hi_result = polished
                 break
             lo_mu = hi_mu
             hi_k -= 1
@@ -1306,16 +992,16 @@ def _constrained(
                 hi_mu, hi_result = mu_max, None
                 break
             hi_mu = grid(hi_k)
-            hi_result = solve(hi_mu, certified.coef.copy())
+            hi_result = solve(hi_mu, polished.coef.copy())
     if lo_mu is None:
         # Numerically the budget is never exceeded (degenerate data);
-        # return the loosest (feasible) solution found, certified at
-        # solver_tol.  If certification exposes the walk's loose
-        # probes as optimistic after all, fall through to a bisection
-        # restarted from the certified-infeasible penalty.
+        # return the loosest (feasible) solution found, polished at
+        # solver_tol.  If polishing exposes the walk's loose probes as
+        # optimistic after all, fall through to a bisection restarted
+        # from the strictly-infeasible penalty.
         final = hi_result if hi_result is not None else zero_result()
         if bracket_tol > solver_tol and final.n_iterations > 0:
-            final = certify(final)
+            final = polish(final)
         if final.norm_sum() <= budget * (1.0 + rtol):
             final.budget = budget
             return final
@@ -1329,12 +1015,11 @@ def _constrained(
     # placement when no bisection iterate lands within rtol.
     #
     # Loose probes steer the bisection, but two gates protect its
-    # correctness.  First, norm_sum is non-increasing in mu, so a probe
-    # at ``mid < hi_mu`` reporting a norm sum *below* the feasible
-    # endpoint's proves the solve stalled — its feasible verdict cannot
-    # be trusted and is certified before it may move the bracket.
-    # Second, a probe is only *accepted* (in the rtol band) after
-    # certification, so the band test is applied to a fully-converged
+    # correctness, and both are settled by the strict polish.  First,
+    # norm_sum is non-increasing in mu, so a probe at ``mid < hi_mu``
+    # reporting a norm sum *below* the feasible endpoint's proves the
+    # solve stalled — its feasible verdict cannot be trusted.  Second,
+    # a probe is only *accepted* (in the rtol band) on a fully-converged
     # norm sum, never a loose estimate.
     best = hi_result if hi_result is not None else zero_result()
     best_strict = False
@@ -1346,19 +1031,9 @@ def _constrained(
         used = result.norm_sum()
         in_band = abs(used - budget) <= rtol * budget
         strict = bracket_tol == solver_tol
-        if (
-            bracket_tol > solver_tol
-            and used <= budget
-            and used < ns_hi * (1.0 - 1e-6)
+        if not strict and (
+            in_band or (used <= budget and used < ns_hi * (1.0 - 1e-6))
         ):
-            # Stalled probe (see above): certify its verdict.
-            result = certify(result)
-            warm_coef = result.coef.copy()
-            used = result.norm_sum()
-            in_band = abs(used - budget) <= rtol * budget
-        elif bracket_tol > solver_tol and in_band:
-            # Candidate for acceptance: re-check the band on the
-            # strictly-polished solution, never a loose estimate.
             result = polish(result)
             warm_coef = result.coef.copy()
             used = result.norm_sum()
@@ -1383,18 +1058,18 @@ def _constrained(
         # solver_tol-accurate.
         best = polish(best)
     if best.norm_sum() > budget * (1.0 + rtol):
-        # Defensive guard: certification can grow the norm sum past
-        # the band when the accepted probe was borderline (or, in the
-        # dense regime, badly stalled).  Walk mu back up (norm_sum is
-        # non-increasing in mu) until the certified solution is
-        # feasible again; mu_max bounds the walk because the zero
-        # solution is always feasible.
+        # Defensive guard: polishing can grow the norm sum past the
+        # band when the accepted probe was borderline (or, in the dense
+        # regime, badly stalled).  Walk mu back up (norm_sum is
+        # non-increasing in mu) until the polished solution is feasible
+        # again; mu_max bounds the walk because the zero solution is
+        # always feasible.
         mu = best.penalty
         polished = best
         for _ in range(60):
             factor = 2.0 if polished.norm_sum() > budget * 2.0 else 1.05
             mu = min(mu * factor, mu_max)
-            polished = certify(solve(mu, polished.coef.copy()))
+            polished = polish(solve(mu, polished.coef.copy()))
             if polished.norm_sum() <= budget * (1.0 + rtol):
                 best = polished
                 break

@@ -100,8 +100,8 @@ def sweep_lambda(
         :class:`~repro.core.path_engine.LambdaPathEngine`: Gram
         statistics are computed once per scope and consecutive budgets
         seed each other.  ``False`` refits every budget independently
-        through :func:`~repro.core.pipeline.fit_placement` (the
-        benchmark baseline).
+        through :func:`~repro.core.pipeline.fit_placement`, a fresh
+        engine per budget (the benchmark baseline).
 
     Returns
     -------

@@ -26,11 +26,10 @@ path-following and bisection loops), and starts from zero coefficients.
   so scope-level parallelism and warm starts compose instead of
   competing.
 
-The engine produces the same :class:`~repro.core.pipeline.PlacementModel`
-objects as :func:`~repro.core.pipeline.fit_placement` — selected
-sensor sets are identical (cached statistics are bit-identical to the
-uncached path; warm starts change only the iteration count, not the
-solution beyond solver tolerance).
+The engine is the one fitting driver: :func:`~repro.core.pipeline.fit_placement`
+is a one-budget :meth:`LambdaPathEngine.fit` on a fresh engine.  Warm
+starts change only the iteration count, not the selected sensor sets
+(bracket endpoints always land on the same penalty grid).
 """
 
 from __future__ import annotations
@@ -200,10 +199,8 @@ class LambdaPathEngine:
                 rtol=cfg.rtol,
                 solver_max_iter=cfg.solver_max_iter,
                 solver_tol=cfg.solver_tol,
-                method=cfg.method,
                 stats=state.stats,
                 warm=state.warm,
-                reuse_gram=cfg.reuse_gram,
                 probe_tol=cfg.probe_tol,
                 screen=state.screener,
             )

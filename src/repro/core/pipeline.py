@@ -16,16 +16,14 @@ blocks is also provided.
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.obs import get_registry, span
-from repro.core.group_lasso import SufficientStats, WarmState
 from repro.core.predictor import VoltagePredictor
-from repro.core.selection import DEFAULT_THRESHOLD, SelectionResult, select_sensors
+from repro.core.selection import DEFAULT_THRESHOLD, SelectionResult
 from repro.voltage.dataset import VoltageDataset
 from repro.utils.validation import check_integer, check_positive
 
@@ -52,25 +50,20 @@ class PipelineConfig:
     per_core:
         Fit one model per core (paper behaviour) or one global model.
     rtol:
-        Budget-matching tolerance of the constrained GL solver.
-    solver_max_iter, solver_tol, method:
-        Inner solver controls.
+        Budget-matching tolerance of the constrained GL solver (> 0).
+    solver_max_iter, solver_tol:
+        Inner FISTA controls (``solver_tol > 0``).
     n_jobs:
         Worker threads for fitting independent scopes (and, through
         :func:`~repro.core.lambda_sweep.sweep_lambda`, independent λ
         paths).  1 (default) keeps everything on the calling thread;
         BLAS releases the GIL, so threads give real speedups on the
         matmul-heavy solves without copying the dataset per worker.
-    reuse_gram:
-        When ``True`` (default) each scope's Gram statistics are
-        computed once and shared by every solve of its λ path /
-        bisection.  ``False`` restores the recompute-per-solve
-        behaviour; kept as a benchmark baseline.
     probe_tol:
-        Tolerance for the bracket-probe solves inside the constrained
-        solver; the accepted solution is always re-polished at
-        ``solver_tol``.  ``None`` runs every probe at ``solver_tol``
-        (the pre-path-engine behaviour).
+        Tolerance (> 0) for the bracket-probe solves inside the
+        constrained solver; the accepted solution is always
+        re-polished at ``solver_tol``.  ``None`` runs every probe at
+        ``solver_tol``.
     screen:
         When ``True``, the constrained solves use sequential
         strong-rule candidate screening with a KKT safeguard
@@ -87,15 +80,17 @@ class PipelineConfig:
     rtol: float = 1e-2
     solver_max_iter: int = 20000
     solver_tol: float = 1e-7
-    method: str = "fista"
     n_jobs: int = 1
-    reuse_gram: bool = True
     probe_tol: Optional[float] = 1e-5
     screen: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.budget, "budget")
         check_positive(self.threshold, "threshold")
+        check_positive(self.rtol, "rtol")
+        check_positive(self.solver_tol, "solver_tol")
+        if self.probe_tol is not None:
+            check_positive(self.probe_tol, "probe_tol")
         check_integer(self.n_jobs, "n_jobs", minimum=1)
 
 
@@ -292,59 +287,13 @@ class PlacementModel:
         return self._fallback_cache
 
 
-def _fit_scope(
-    dataset: VoltageDataset,
-    core_index: int,
-    candidate_cols: np.ndarray,
-    block_cols: np.ndarray,
-    config: PipelineConfig,
-    stats: Optional[SufficientStats] = None,
-    warm: Optional[WarmState] = None,
-) -> ScopeModel:
-    """Run selection + OLS refit for one scope."""
-    X = dataset.X[:, candidate_cols]
-    F = dataset.F[:, block_cols]
-    with span(
-        "fit.scope",
-        core=core_index,
-        n_candidates=int(candidate_cols.size),
-        n_blocks=int(block_cols.size),
-    ) as sp:
-        selection = select_sensors(
-            X,
-            F,
-            budget=config.budget,
-            threshold=config.threshold,
-            rtol=config.rtol,
-            solver_max_iter=config.solver_max_iter,
-            solver_tol=config.solver_tol,
-            method=config.method,
-            stats=stats,
-            warm=warm,
-            reuse_gram=config.reuse_gram,
-            probe_tol=config.probe_tol,
-            screen=config.screen,
-        )
-        predictor = VoltagePredictor.fit(
-            X,
-            F,
-            selected=selection.selected,
-            sensor_nodes=dataset.candidate_nodes[
-                candidate_cols[selection.selected]
-            ],
-        )
-        sp.set_attribute("n_selected", selection.n_selected)
-    return ScopeModel(
-        core_index=core_index,
-        candidate_cols=candidate_cols,
-        block_cols=block_cols,
-        selection=selection,
-        predictor=predictor,
-    )
-
-
 def fit_placement(dataset: VoltageDataset, config: PipelineConfig) -> PlacementModel:
     """Fit the full monitoring system on a training dataset.
+
+    A one-budget fit of the
+    :class:`~repro.core.path_engine.LambdaPathEngine`, the single
+    fitting driver behind sweeps, sensor-count targeting and this
+    function alike.
 
     Parameters
     ----------
@@ -363,26 +312,15 @@ def fit_placement(dataset: VoltageDataset, config: PipelineConfig) -> PlacementM
         In per-core mode, if a core has blocks to monitor but no BA
         candidates to select from.
     """
+    # Deferred: path_engine imports this module.
+    from repro.core.path_engine import LambdaPathEngine
+
     with span(
         "fit.placement", budget=config.budget, per_core=config.per_core
     ) as sp:
-        scope_specs = _scope_specs(dataset, config)
-        if config.n_jobs > 1 and len(scope_specs) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(config.n_jobs, len(scope_specs))
-            ) as pool:
-                scopes = list(
-                    pool.map(
-                        lambda spec: _fit_scope(dataset, *spec, config),
-                        scope_specs,
-                    )
-                )
-        else:
-            scopes = [
-                _fit_scope(dataset, *spec, config) for spec in scope_specs
-            ]
-        sp.set_attribute("n_sensors", sum(s.n_sensors for s in scopes))
-    return PlacementModel(scopes=scopes, config=config, n_blocks=dataset.n_blocks)
+        model = LambdaPathEngine(dataset, config).fit(config.budget)
+        sp.set_attribute("n_sensors", model.n_sensors)
+    return model
 
 
 def placement_model_from_cols(

@@ -146,10 +146,8 @@ def select_sensors(
     rtol: float = 1e-2,
     solver_max_iter: int = 20000,
     solver_tol: float = 1e-7,
-    method: str = "fista",
     stats: Optional[SufficientStats] = None,
     warm: Optional[WarmState] = None,
-    reuse_gram: bool = True,
     probe_tol: Optional[float] = None,
     screen=None,
 ) -> SelectionResult:
@@ -167,7 +165,7 @@ def select_sensors(
     threshold:
         The paper's T; candidates with ``||beta_m||_2 > T`` are
         selected.
-    rtol, solver_max_iter, solver_tol, method:
+    rtol, solver_max_iter, solver_tol:
         Numerical controls forwarded to the constrained solver.
     stats:
         Optional sufficient statistics of the *standardized* problem,
@@ -176,9 +174,6 @@ def select_sensors(
     warm:
         Optional warm-start state from a selection on the same data at
         a nearby budget (:meth:`SelectionResult.warm_state`).
-    reuse_gram:
-        ``False`` restores the one-Gram-per-inner-solve behaviour
-        (benchmark baseline).
     probe_tol:
         Optional looser tolerance for bracket probes inside the
         constrained solve (the result is re-polished at
@@ -214,10 +209,8 @@ def select_sensors(
         rtol=rtol,
         solver_max_iter=solver_max_iter,
         solver_tol=solver_tol,
-        method=method,
         stats=stats,
         warm=warm,
-        reuse_gram=reuse_gram,
         probe_tol=probe_tol,
         screen=screen,
     )

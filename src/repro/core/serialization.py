@@ -83,7 +83,6 @@ def save_placement(path: str, model: PlacementModel) -> None:
             "budget": model.config.budget,
             "threshold": model.config.threshold,
             "per_core": model.config.per_core,
-            "method": model.config.method,
         },
         "scopes": scopes_meta,
     }
@@ -112,11 +111,11 @@ def load_placement(path: str) -> PlacementModel:
             raise ValueError(
                 f"unsupported placement format version {meta.get('version')!r}"
             )
+        # Older files also carry a solver "method" key, which is ignored.
         config = PipelineConfig(
             budget=meta["config"]["budget"],
             threshold=meta["config"]["threshold"],
             per_core=meta["config"]["per_core"],
-            method=meta["config"]["method"],
         )
         scopes: List[ScopeModel] = []
         for i, scope_meta in enumerate(meta["scopes"]):

@@ -4,8 +4,8 @@ Reproduces the paper's Figure 1: the group-lasso column norms of every
 BA candidate of one core, at two lambda values.  The paper's take-away
 is the huge separation — selected candidates sit at O(0.1..1) while
 unselected ones sit at 1e-5..1e-10 (interior-point residue) — which
-makes the threshold T = 1e-3 uncritical.  Our coordinate/proximal
-solvers produce *exactly* zero for unselected candidates; they are
+makes the threshold T = 1e-3 uncritical.  Our proximal
+solver produces *exactly* zero for unselected candidates; they are
 plotted at a 1e-12 floor.
 """
 

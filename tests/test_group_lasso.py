@@ -56,15 +56,6 @@ class TestPenalized:
         result = group_lasso_penalized(Z, G, mu=mu)
         assert np.all(result.coef == 0.0)
 
-    def test_methods_agree(self):
-        Z, G, _ = sparse_problem(seed=1)
-        fista = group_lasso_penalized(Z, G, mu=40.0, method="fista")
-        bcd = group_lasso_penalized(Z, G, mu=40.0, method="bcd")
-        assert np.allclose(fista.coef, bcd.coef, atol=1e-5)
-        assert set(fista.active_groups(1e-4).tolist()) == set(
-            bcd.active_groups(1e-4).tolist()
-        )
-
     def test_objective_decreases_with_looser_penalty(self):
         # Fit term at smaller mu must be at least as good.
         Z, G, _ = sparse_problem()
@@ -95,8 +86,6 @@ class TestPenalized:
             group_lasso_penalized(Z, G, mu=1.0, max_iter=0)
         with pytest.raises(ValueError):
             group_lasso_penalized(Z, G, mu=1.0, tol=0.0)
-        with pytest.raises(ValueError):
-            group_lasso_penalized(Z, G, mu=1.0, method="newton")
 
     def test_constant_feature_never_selected(self):
         Z, G, _ = sparse_problem(n=100, m=8, active=(1,))
@@ -237,23 +226,39 @@ class TestConstrainedPathFidelity:
         )
         assert warm.norm_sum() == pytest.approx(cold.norm_sum(), rel=1e-4)
 
-    def test_methods_agree_at_tight_budgets(self):
-        # FISTA vs coordinate descent on correlated features: the
-        # selected groups (and the attained norm sums) must agree at
-        # tight budgets, where the solution is sparse enough for BCD.
-        Z, G = correlated_problem(seed=4)
-        for budget in (0.3, 0.8):
-            fista = group_lasso_constrained(
-                Z, G, budget=budget, method="fista"
+
+class TestConstrainedKKT:
+    """A constrained solution is optimal for the penalized problem at
+    the dual penalty it reports: with ``grad = B S - A^T``, active
+    groups satisfy ``grad_m = -mu * B_m / ||B_m||`` and inactive groups
+    ``||grad_m|| <= mu``.  Checked on correlated data, dense and
+    screened, with strict and loose bracket probes."""
+
+    @pytest.mark.parametrize("probe_tol", [None, 1e-5], ids=["strict", "loose"])
+    @pytest.mark.parametrize("screen", [False, True], ids=["dense", "screened"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_kkt_at_returned_penalty(self, seed, screen, probe_tol):
+        Z, G = correlated_problem(seed=seed)
+        S, A = Z.T @ Z, Z.T @ G
+        for budget in (0.3, 0.8, 2.0):
+            result = group_lasso_constrained(
+                Z, G, budget=budget, screen=screen, probe_tol=probe_tol
             )
-            bcd = group_lasso_constrained(Z, G, budget=budget, method="bcd")
-            assert (
-                fista.active_groups(1e-3).tolist()
-                == bcd.active_groups(1e-3).tolist()
+            mu = result.penalty
+            assert mu > 0.0
+            B = result.coef
+            grad = B @ S - A.T
+            norms = np.linalg.norm(B, axis=0)
+            active = norms > 0.0
+            assert active.any()
+            np.testing.assert_allclose(
+                grad[:, active],
+                -mu * B[:, active] / norms[active],
+                rtol=0.0,
+                atol=1e-4 * mu,
             )
-            assert fista.norm_sum() == pytest.approx(
-                bcd.norm_sum(), rel=5e-2
-            )
+            inactive_norms = np.linalg.norm(grad[:, ~active], axis=0)
+            assert np.all(inactive_norms <= mu * (1.0 + 1e-6))
 
 
 class TestResultObject:
@@ -282,15 +287,13 @@ class TestPathStart:
     path start.
     """
 
-    @pytest.mark.parametrize("method", ["fista", "bcd"])
-    def test_all_zero_at_mu_max(self, method):
+    def test_all_zero_at_mu_max(self):
         Z, G, _ = sparse_problem()
         stats = SufficientStats.from_arrays(Z, G)
-        result = group_lasso_penalized(Z, G, mu=stats.mu_max, method=method)
+        result = group_lasso_penalized(Z, G, mu=stats.mu_max)
         assert np.all(result.coef == 0.0)
 
-    @pytest.mark.parametrize("method", ["fista", "bcd"])
-    def test_all_zero_at_mu_max_degenerate_columns(self, method):
+    def test_all_zero_at_mu_max_degenerate_columns(self):
         # Constant (zero after centering) and duplicated columns: the
         # per-group thresholds tie, the worst case for the max.
         rng = np.random.default_rng(3)
@@ -299,15 +302,13 @@ class TestPathStart:
         Z[:, 5] = Z[:, 1]      # exact duplicate: tied ||A_g||
         G = rng.standard_normal((100, 3))
         stats = SufficientStats.from_arrays(Z, G)
-        result = group_lasso_penalized(
-            Z, G, mu=stats.mu_max, method=method
-        )
+        result = group_lasso_penalized(Z, G, mu=stats.mu_max)
         assert np.all(result.coef == 0.0)
 
     def test_mu_max_is_max_group_threshold(self):
-        # mu_max must dominate every group's activation threshold *as
-        # the solver measures it* — the per-row 1-D norm, whose
-        # summation order can land an ulp above the axis-reduced value.
+        # mu_max must dominate every group's activation threshold
+        # however it is measured — the per-row 1-D norm's summation
+        # order can land an ulp above the axis-reduced value.
         Z, G, _ = sparse_problem()
         stats = SufficientStats.from_arrays(Z, G)
         A = Z.T @ G

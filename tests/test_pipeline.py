@@ -18,6 +18,24 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(budget=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rtol", 0.0),
+            ("rtol", -1e-2),
+            ("solver_tol", 0.0),
+            ("solver_tol", float("nan")),
+            ("probe_tol", 0.0),
+            ("probe_tol", -1e-5),
+        ],
+    )
+    def test_rejects_bad_tolerances(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(budget=1.0, **{field: value})
+
+    def test_probe_tol_none_allowed(self):
+        assert PipelineConfig(budget=1.0, probe_tol=None).probe_tol is None
+
 
 class TestFitPlacementPerCore:
     def test_scopes_per_core(self):

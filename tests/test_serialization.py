@@ -67,6 +67,27 @@ class TestPlacementRoundTrip:
         with pytest.raises(ValueError, match="version"):
             load_placement(path)
 
+    def test_loads_legacy_solver_method_key(self, tmp_path):
+        # Files saved before the solver collapse record the solver in
+        # meta["config"]["method"]; they must still load, and new files
+        # no longer write the key.
+        import json
+
+        ds, model = self.fitted()
+        path = str(tmp_path / "placement.npz")
+        save_placement(path, model)
+        data = dict(np.load(path))
+        meta = json.loads(bytes(data["meta"].tobytes()).decode())
+        assert "method" not in meta["config"]
+        meta["config"]["method"] = "fista"
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez_compressed(path, **data)
+        loaded = load_placement(path)
+        assert np.array_equal(
+            loaded.sensor_candidate_cols, model.sensor_candidate_cols
+        )
+        assert np.allclose(loaded.predict(ds.X[:20]), model.predict(ds.X[:20]))
+
     def test_nested_directory_created(self, tmp_path):
         ds, model = self.fitted()
         path = str(tmp_path / "a" / "b" / "placement.npz")

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.config import ChipConfig, DataConfig
@@ -64,6 +64,8 @@ class TestCoverageProperties:
         noise=st.floats(0.01, 0.1),
         hetero=st.booleans(),
     )
+    # Coverage 0.6233 against a test-split-only bound of 0.6252.
+    @example(seed=53, alpha=0.3, noise=0.0625, hetero=True)
     def test_nominal_coverage_on_held_out_split(
         self, seed, alpha, noise, hetero
     ):
@@ -75,9 +77,17 @@ class TestCoverageProperties:
         calibration = conformal_calibrate(*cal_rows, n_blocks, alpha=alpha)
         cov = empirical_coverage(calibration, *test_rows)
         # Marginal guarantee is >= 1 - alpha in expectation; allow a
-        # 4-sigma binomial fluctuation on the held-out sample.
+        # 4-sigma fluctuation from both random draws: the held-out
+        # sample's binomial noise and the per-block calibration
+        # quantiles' own randomness (each block's empirical quantile
+        # of n_cal scores has coverage variance ~ a(1-a)/(n_cal+2),
+        # averaged over the blocks).
         n_test = cov["n_rows"]
-        slack = 4.0 * np.sqrt(alpha * (1.0 - alpha) / n_test)
+        n_cal_per_block = cal_rows[0].size // n_blocks
+        slack = 4.0 * np.sqrt(
+            alpha * (1.0 - alpha)
+            * (1.0 / n_test + 1.0 / (n_blocks * (n_cal_per_block + 2)))
+        )
         assert cov["nominal_coverage"] >= 1.0 - alpha - slack
 
     @settings(max_examples=25, deadline=None)
