@@ -1000,9 +1000,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--serve",
         action="store_true",
-        help="benchmark the sharded shared-memory serving fleet: "
-        "streams/sec and p50/p99 latency over shard counts, ring vs "
-        "pickle-queue transport, and a rolling hot-swap trial; exits "
+        help="benchmark the sharded serving fleet: streams/sec and "
+        "p50/p99 latency over shard counts, fleet vs pickle-queue "
+        "transport, and a rolling hot-swap trial; exits "
         "nonzero on any bit-identity or hot-swap failure",
     )
     parser.add_argument(
@@ -1072,7 +1072,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         tr = report["transport"]
         print(
             f"transport @1 shard: queue+pickle {tr['queue_pickle_s']:.3f}s "
-            f"vs ring {tr['ring_s']:.3f}s  speedup {tr['speedup']:.2f}x"
+            f"vs fleet {tr['fleet_s']:.3f}s  speedup {tr['speedup']:.2f}x"
         )
         for point in report["points"]:
             print(

@@ -1,4 +1,4 @@
-"""Load generator for the sharded shared-memory serving fleet.
+"""Load generator for the sharded serving fleet.
 
 ``python benchmarks/run_bench.py --serve`` drives this module.  One
 run measures, on identical frames:
@@ -6,11 +6,11 @@ run measures, on identical frames:
 * **reference** — a single in-process
   :meth:`~repro.monitor.fleet.FleetMonitor.run_batch` over the whole
   ``(S, T, Q)`` tensor (the floor any transport must answer to);
-* **transport** — at 1 shard, the shared-memory ring fleet against a
-  classic ``multiprocessing.Queue`` worker that pickles every chunk
-  both ways (same process count, same batching — the delta is purely
-  serialization);
-* **scaling** — the ring fleet at shard counts {1, 2, 4, N_cpu},
+* **transport** — at 1 shard, the fleet (frames and results in a
+  shared slot block, slot indices over a pipe) against a classic
+  ``multiprocessing.Queue`` worker that pickles every chunk both ways
+  (same process count, same batching);
+* **scaling** — the fleet at shard counts {1, 2, 4, N_cpu},
   recording streams/sec and p50/p99 end-to-end slot latency per point;
 * **hot swap** — a rolling model swap mid-stream, checked for zero
   dropped frames and zero divergent alarm cycles against an in-process
@@ -221,7 +221,7 @@ def run_serve(quick: bool = False) -> Dict[str, Any]:
         )
         transport = {
             "queue_pickle_s": queue_run["wall_s"],
-            "ring_s": one_shard,
+            "fleet_s": one_shard,
             "speedup": queue_run["wall_s"] / one_shard,
             "queue_bit_identical": queue_identical,
         }

@@ -158,7 +158,7 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
         if isinstance(transport, dict):
             _scalar(
                 scalars, transport,
-                "queue_pickle_s", "ring_s", "speedup",
+                "queue_pickle_s", "fleet_s", "speedup",
             )
         for point in doc.get("points", []):
             shards = point.get("shards")

@@ -1,18 +1,16 @@
-"""Sharded multi-process serving on shared-memory transport.
+"""Sharded multi-process serving through shared slot blocks.
 
 The serving layer turns the in-process
 :class:`~repro.monitor.fleet.FleetMonitor` into a service shape:
 
-* :mod:`repro.serve.ring` — fixed-slot SPSC ring buffers over
-  ``multiprocessing.shared_memory`` with a sequence-number commit
-  protocol (no pickling on the hot path).
 * :mod:`repro.serve.shard` — the worker process: one ``FleetMonitor``
-  shard consuming frame slots, producing v_min/alarm result slots, and
-  watching a model-version slot for rolling hot-swaps.
+  shard serving frame slots of a shared-memory block, writing
+  v_min/alarm results back into the same slots, and applying model
+  hot-swaps that arrive in-band on its pipe.
 * :mod:`repro.serve.fleet` — :class:`ShardedFleet`, the coordinator
-  that partitions S streams across N workers, feeds the rings, merges
-  shard snapshots back into the parent registry, and reassembles
-  per-stream events/failures.
+  that partitions S streams across N workers, hands them slot indices
+  over one pipe per shard, merges shard snapshots back into the parent
+  registry, and reassembles per-stream events/failures.
 * :mod:`repro.serve.frontend` — :class:`IngestionFrontend`, an asyncio
   front-end with bounded-queue backpressure (block / drop-oldest).
 
@@ -24,21 +22,9 @@ benchmark asserts it (see ``BENCH_serve.json`` and
 
 from repro.serve.fleet import ServeResult, ShardedFleet
 from repro.serve.frontend import IngestionFrontend
-from repro.serve.ring import (
-    RingClosed,
-    RingSpec,
-    RingTimeout,
-    SpscRing,
-    VersionSlot,
-)
 
 __all__ = [
     "IngestionFrontend",
-    "RingClosed",
-    "RingSpec",
-    "RingTimeout",
     "ServeResult",
     "ShardedFleet",
-    "SpscRing",
-    "VersionSlot",
 ]

@@ -1,24 +1,29 @@
-"""``ShardedFleet``: multi-process serving over shared-memory rings.
+"""``ShardedFleet``: multi-process serving through shared slot blocks.
 
-The coordinator partitions S streams into N contiguous shards, spawns
-one :func:`repro.serve.shard.run_worker` process per shard, and feeds
-each worker through a pair of :class:`~repro.serve.ring.SpscRing`
-buffers — frames out, per-cycle ``(v_min, alarm)`` results back.  The
-hot path never pickles: frame chunks are sliced straight into the
-input ring's shared-memory slots and results are copied out of the
-result ring's slots.
+The coordinator partitions S streams into N contiguous shards and
+starts one :func:`repro.serve.shard.run_worker` process per shard.
+Each shard gets one ``multiprocessing.shared_memory`` block of
+``ring_slots`` slots and one duplex pipe.  Submitting a chunk copies
+each shard's stream slice into a free slot of its block and sends the
+slot index down the pipe; the worker answers with the slot index once
+the slot's result area holds ``(v_min, alarm flags)``, and the slot is
+free again when the coordinator has copied the result out.  Frames and
+results never cross the pipe.
 
-Models travel by file: the coordinator serializes the initial model
-(and every :meth:`ShardedFleet.hot_swap`) with
-:func:`repro.core.serialization.save_placement` into a shared work
-directory and broadcasts ``(version, effective_from_cycle)`` through a
-:class:`~repro.serve.ring.VersionSlot`; workers reload and swap
-between batches.  Serialization round-trips float64 coefficients
-exactly, so a swap to a re-serialized identical model is bit-invisible
-in the outputs.
+A hot-swap travels in-band: :meth:`ShardedFleet.hot_swap` stores the
+new ``(version, model)``, and the next submitted chunk sends the model
+to each shard just before its slot index, once that shard has no slot
+in flight.  Pipe order is the swap boundary.  The model is pickled,
+which round-trips float64 coefficients exactly, so a swap to an
+identical model is bit-invisible in the outputs.
+
+The coordinator waits in :func:`multiprocessing.connection.wait` on
+the pipes and the worker sentinels, so a worker that exits without its
+report raises ``RuntimeError("serve worker shardN died")`` from the
+next call that collects results or submits to it.
 
 At :meth:`finish` each worker ships its final report (events,
-failures, stats, metrics snapshot) once over a pipe; the coordinator
+failures, stats, metrics snapshot) once over its pipe; the coordinator
 merges every shard snapshot into the parent registry
 (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`) and emits
 one ``obs.worker`` event per shard, which run manifests collect into
@@ -28,35 +33,22 @@ their per-shard section (``repro.obs.manifest/v3``).
 from __future__ import annotations
 
 import multiprocessing
-import os
-import shutil
-import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import PlacementModel
-from repro.core.serialization import save_placement
 from repro.monitor.faults import FaultPolicy
 from repro.monitor.fleet import EmergencyEvent, FleetStats, SensorFailure
 from repro.obs import get_registry
-from repro.serve.ring import RingClosed, SpscRing, VersionSlot
-from repro.serve.shard import (
-    KIND_FRAMES,
-    KIND_STOP,
-    META_FIELDS,
-    ShardSpec,
-    model_path,
-    run_worker,
-)
+from repro.serve.shard import block_bytes, run_worker, slot_views
 from repro.utils.validation import check_integer
 
 __all__ = ["ServeResult", "ShardedFleet"]
-
-#: Coordinator-side poll sleep while waiting on ring space/results.
-_POLL_S = 200e-6
 
 
 @dataclass
@@ -91,6 +83,23 @@ class ServeResult:
         }
 
 
+@dataclass
+class _Shard:
+    """Coordinator side of one worker: its streams, slot block and pipe."""
+
+    name: str
+    lo: int
+    hi: int
+    block: shared_memory.SharedMemory
+    frames: np.ndarray  # (ring_slots, S_i, slot_ticks, Q) view of block
+    results: np.ndarray  # (ring_slots, 2, S_i, slot_ticks) view of block
+    conn: Any
+    free: List[int]
+    proc: Any = None
+    slot_base: Dict[int, int] = field(default_factory=dict)
+    version: int = 0  # last model version sent to the worker
+
+
 class ShardedFleet:
     """Coordinator of N worker processes serving S streams.
 
@@ -105,21 +114,17 @@ class ShardedFleet:
     n_shards:
         Worker processes N (``1 <= N <= S``).
     slot_ticks:
-        Cycles per ring slot (the batching grain of the hot path).
+        Cycles per slot (the batching grain of the hot path).
     ring_slots:
-        Slots per ring; bounds in-flight frames per shard at
-        ``ring_slots * slot_ticks`` cycles (the backpressure depth).
-    mp_context:
-        ``multiprocessing`` start method.  ``"fork"`` (default on
-        platforms that have it) avoids re-importing the world per
-        worker; ``"spawn"`` works too since :class:`ShardSpec` is
-        picklable.
+        Slots per shard, i.e. chunks in flight per shard; bounds
+        in-flight frames per shard at ``ring_slots * slot_ticks``
+        cycles (the backpressure depth).
     timeout:
-        Seconds any single ring wait may take before the coordinator
-        declares a worker dead.
-    workdir:
-        Directory for serialized model versions (a temp dir by
-        default; removed at :meth:`finish`).
+        Seconds any single wait on the workers may take before the
+        coordinator gives up with ``TimeoutError``.
+
+    Workers start with ``fork`` where the platform has it, else
+    ``spawn``.
     """
 
     def __init__(
@@ -133,14 +138,12 @@ class ShardedFleet:
         policy: Optional[FaultPolicy] = None,
         slot_ticks: int = 32,
         ring_slots: int = 8,
-        mp_context: Optional[str] = None,
         timeout: float = 60.0,
-        workdir: Optional[str] = None,
     ) -> None:
         check_integer(n_streams, "n_streams", minimum=1)
         check_integer(n_shards, "n_shards", minimum=1)
         check_integer(slot_ticks, "slot_ticks", minimum=1)
-        check_integer(ring_slots, "ring_slots", minimum=2)
+        check_integer(ring_slots, "ring_slots", minimum=1)
         if n_shards > n_streams:
             raise ValueError(
                 f"n_shards={n_shards} exceeds n_streams={n_streams}"
@@ -157,73 +160,46 @@ class ShardedFleet:
         self.n_sensors = int(
             np.asarray(model.sensor_candidate_cols).size
         )
-
-        if mp_context is None:
-            mp_context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        ctx = multiprocessing.get_context(mp_context)
-
-        self._own_workdir = workdir is None
-        self._workdir = workdir or tempfile.mkdtemp(prefix="repro-serve-")
         self._version = 0
-        save_placement(model_path(self._workdir, 0), model)
-        self._version_slot = VersionSlot.create()
 
+        ctx = multiprocessing.get_context(
+            "fork"
+            if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         bounds = np.linspace(0, self.n_streams, self.n_shards + 1).astype(int)
-        self._shards: List[ShardSpec] = []
-        self._in_rings: List[SpscRing] = []
-        self._out_rings: List[SpscRing] = []
-        self._pipes: List[Any] = []
+        self._shards: List[_Shard] = []
         self._procs: List[Any] = []
         try:
             for i in range(self.n_shards):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
-                s_i = hi - lo
-                in_ring = SpscRing.create(
-                    (s_i, self.slot_ticks, self.n_sensors),
-                    self.ring_slots,
-                    META_FIELDS,
+                layout = (self.ring_slots, hi - lo, self.slot_ticks,
+                          self.n_sensors)
+                block = shared_memory.SharedMemory(
+                    create=True, size=block_bytes(layout)
                 )
-                out_ring = SpscRing.create(
-                    (2, s_i, self.slot_ticks), self.ring_slots, META_FIELDS
-                )
-                spec = ShardSpec(
-                    shard_id=i,
-                    name=f"shard{i}",
-                    stream_lo=lo,
-                    stream_hi=hi,
-                    in_ring=in_ring.spec,
-                    out_ring=out_ring.spec,
-                    version_name=self._version_slot.name,
-                    model_dir=self._workdir,
-                    threshold=self.threshold,
-                    debounce=self.debounce,
-                    policy=self.policy,
-                )
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
+                frames, results = slot_views(block.buf, layout)
+                conn, child_conn = ctx.Pipe()
+                shard = _Shard(f"shard{i}", lo, hi, block, frames, results,
+                               conn, list(range(self.ring_slots)))
+                self._shards.append(shard)
+                shard.proc = ctx.Process(
                     target=run_worker,
-                    args=(spec, child_conn),
-                    name=f"repro-serve-{spec.name}",
+                    args=(shard.name, block, layout, model, self.threshold,
+                          self.debounce, policy, child_conn, conn),
+                    name=f"repro-serve-{shard.name}",
                     daemon=True,
                 )
-                proc.start()
+                shard.proc.start()
                 child_conn.close()
-                self._shards.append(spec)
-                self._in_rings.append(in_ring)
-                self._out_rings.append(out_ring)
-                self._pipes.append(parent_conn)
-                self._procs.append(proc)
+                self._procs.append(shard.proc)
         except Exception:
             self.abort()
             raise
 
         self._next_cycle = 0  # base cycle of the next staged chunk
-        self._inflight: Optional[Dict[str, Any]] = None
-        # base_cycle -> {"n_ticks", "submit_ns", "shards": {i: (v, f, ver)}}
+        self._inflight: Optional[Tuple[np.ndarray, int, List[bool]]] = None
+        # base_cycle -> partly assembled result of one chunk
         self._pending: Dict[int, Dict[str, Any]] = {}
         self._completed: List[Tuple[int, int, np.ndarray, np.ndarray, int]] = []
         self._submitted_slots = 0
@@ -236,16 +212,19 @@ class ShardedFleet:
     def try_submit_chunk(self, chunk: Optional[np.ndarray] = None) -> bool:
         """Nonblocking, resumable submit of one ``(S, T<=slot_ticks, Q)`` chunk.
 
-        Stages ``chunk`` on first call and pushes it shard by shard;
-        when some ring is full the call returns ``False`` and must be
+        Stages ``chunk`` on first call and hands it out shard by shard;
+        when some shard has no free slot (or, with a model swap to send,
+        a slot still in flight) the call returns ``False`` and must be
         retried (with ``chunk=None`` or the same staged array) until it
-        returns ``True``.  The submit timestamp is taken at staging, so
-        measured end-to-end latency includes backpressure stalls.
+        returns ``True``.  Slots free up only as results are collected
+        (:meth:`poll_results`).  The submit timestamp is
+        taken at staging, so measured end-to-end latency includes
+        backpressure stalls.
         """
         if self._inflight is None:
             if chunk is None:
                 return True
-            chunk = np.ascontiguousarray(chunk, dtype=np.float64)
+            chunk = np.asarray(chunk, dtype=np.float64)
             if chunk.ndim != 3 or chunk.shape[0] != self.n_streams or (
                 chunk.shape[1] > self.slot_ticks
                 or chunk.shape[1] == 0
@@ -255,44 +234,38 @@ class ShardedFleet:
                     f"chunk must be ({self.n_streams}, 1..{self.slot_ticks},"
                     f" {self.n_sensors}); got {chunk.shape}"
                 )
-            self._inflight = {
-                "chunk": chunk,
-                "n_ticks": int(chunk.shape[1]),
-                "base": self._next_cycle,
-                "submit_ns": time.perf_counter_ns(),
-                "pushed": [False] * self.n_shards,
-            }
+            n_ticks = chunk.shape[1]
+            self._inflight = (chunk, self._next_cycle, [False] * self.n_shards)
             # Register the pending entry at staging time: with the chunk
-            # partially pushed, an already-fed shard may answer before
-            # the remaining shards accept their slices.
+            # partially handed out, an already-fed shard may answer
+            # before the remaining shards accept their slices.
             self._pending[self._next_cycle] = {
-                "n_ticks": int(chunk.shape[1]),
-                "submit_ns": self._inflight["submit_ns"],
-                "shards": {},
+                "n_ticks": n_ticks,
+                "submit_ns": time.perf_counter_ns(),
+                "flags": np.empty((self.n_streams, n_ticks), dtype=bool),
+                "v_min": np.empty((self.n_streams, n_ticks)),
+                "waiting": self.n_shards,
             }
-        state = self._inflight
-        n_ticks = state["n_ticks"]
-        base = state["base"]
-        submit_ns = state["submit_ns"]
-        data = state["chunk"]
-        all_pushed = True
-        for i, spec in enumerate(self._shards):
-            if state["pushed"][i]:
+        data, base, pushed = self._inflight
+        n_ticks = data.shape[1]
+        for i, shard in enumerate(self._shards):
+            if pushed[i] or not shard.free:
                 continue
-            part = data[spec.stream_lo : spec.stream_hi]
-
-            def fill(payload: np.ndarray, meta: np.ndarray) -> None:
-                payload[:, :n_ticks, :] = part
-                meta[0] = KIND_FRAMES
-                meta[1] = n_ticks
-                meta[2] = base
-                meta[3] = submit_ns
-
-            if self._in_rings[i].try_push(fill):
-                state["pushed"][i] = True
-            else:
-                all_pushed = False
-        if not all_pushed:
+            swap = shard.version != self._version
+            if swap and len(shard.free) < self.ring_slots:
+                # A model goes only to an idle worker: one still sending
+                # results of queued slots could block before reading a
+                # model larger than the pipe buffers.
+                continue
+            slot = shard.free.pop()
+            shard.frames[slot, :, :n_ticks] = data[shard.lo : shard.hi]
+            shard.slot_base[slot] = base
+            if swap:
+                self._send(shard, ("swap", self._version, self.model))
+                shard.version = self._version
+            self._send(shard, ("frames", slot, n_ticks))
+            pushed[i] = True
+        if not all(pushed):
             registry = get_registry()
             if registry.enabled:
                 registry.counter("serve.backpressure_stalls").inc()
@@ -305,8 +278,8 @@ class ShardedFleet:
     def submit(self, frames: np.ndarray) -> None:
         """Submit a whole ``(S, T, Q)`` tensor, chunked to the slot grain.
 
-        Blocks (polling results meanwhile, so no deadlock on full
-        rings) until every chunk is accepted by every shard.
+        Blocks (collecting results meanwhile, which frees slots) until
+        every chunk is accepted by every shard.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3 or frames.shape[0] != self.n_streams or (
@@ -318,67 +291,61 @@ class ShardedFleet:
             )
         for lo in range(0, frames.shape[1], self.slot_ticks):
             chunk = frames[:, lo : lo + self.slot_ticks, :]
-            deadline = time.monotonic() + self.timeout
             while not self.try_submit_chunk(chunk):
-                self.poll_results()
-                self._check_workers()
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        "serve submit stalled: a shard stopped draining "
-                        "its input ring"
-                    )
-                time.sleep(_POLL_S)
+                self._collect(self.timeout, "submit")
 
     # -- result collection ----------------------------------------------
 
     def poll_results(self) -> int:
-        """Drain every shard's result ring; returns slots completed now."""
+        """Collect every result already sent; returns slots completed now.
+
+        Raises ``RuntimeError`` if a worker died or failed.
+        """
+        return self._collect(0.0, "poll")
+
+    def _collect(self, timeout: float, caller: str) -> int:
+        """Read every ready message, first waiting up to ``timeout``
+        for one; a worker that exited raises ``RuntimeError``."""
+        conns = [shard.conn for shard in self._shards]
+        sentinels = [shard.proc.sentinel for shard in self._shards]
+        ready = wait(conns + sentinels, timeout)
+        if timeout > 0 and not ready:
+            raise TimeoutError(
+                f"serve {caller} stalled for {self.timeout:g} s at "
+                f"{self._collected_slots}/{self._submitted_slots} slots"
+            )
         completed = 0
-        for i in range(self.n_shards):
-
-            def read(payload: np.ndarray, meta: np.ndarray) -> Tuple:
-                n_ticks = int(meta[1])
-                return (
-                    int(meta[2]),
-                    n_ticks,
-                    payload[0, :, :n_ticks].copy(),
-                    payload[1, :, :n_ticks] != 0.0,
-                    int(meta[4]),
-                )
-
-            while True:
-                try:
-                    ok, item = self._out_rings[i].try_pop(read)
-                except RingClosed:
-                    break
-                if not ok:
-                    break
-                base, n_ticks, v_min_i, flags_i, version = item
-                entry = self._pending.get(base)
-                if entry is None:
-                    raise RuntimeError(
-                        f"result for unsubmitted base cycle {base}"
-                    )
-                entry["shards"][i] = (v_min_i, flags_i, version)
-                if len(entry["shards"]) == self.n_shards:
-                    completed += self._complete(base, entry)
+        for shard in self._shards:
+            if shard.conn in ready:
+                completed += self._drain(shard)
+            if shard.proc.sentinel in ready:
+                raise RuntimeError(f"serve worker {shard.name} died")
         return completed
 
-    def _complete(self, base: int, entry: Dict[str, Any]) -> int:
+    def _drain(self, shard: _Shard) -> int:
+        """Store every answer ``shard`` has sent; returns slots completed."""
+        completed = 0
+        while shard.conn.poll():
+            completed += self._store(shard, *self._recv(shard))
+        return completed
+
+    def _store(self, shard: _Shard, slot: int, version: int) -> int:
+        """Copy one shard's result out of ``slot`` and free the slot."""
+        base = shard.slot_base.pop(slot)
+        entry = self._pending[base]
         n_ticks = entry["n_ticks"]
-        v_min = np.empty((self.n_streams, n_ticks))
-        flags = np.zeros((self.n_streams, n_ticks), dtype=bool)
-        version = 0
-        for i, spec in enumerate(self._shards):
-            v_min_i, flags_i, ver = entry["shards"][i]
-            v_min[spec.stream_lo : spec.stream_hi] = v_min_i
-            flags[spec.stream_lo : spec.stream_hi] = flags_i
-            version = max(version, ver)
-        self.latencies_ns.append(
-            time.perf_counter_ns() - entry["submit_ns"]
-        )
-        self._completed.append((base, n_ticks, flags, v_min, version))
+        entry["v_min"][shard.lo : shard.hi] = shard.results[slot, 0, :, :n_ticks]
+        entry["flags"][shard.lo : shard.hi] = shard.results[slot, 1, :, :n_ticks]
+        entry["version"] = version
+        shard.free.append(slot)
+        entry["waiting"] -= 1
+        if entry["waiting"]:
+            return 0
         del self._pending[base]
+        self.latencies_ns.append(time.perf_counter_ns() - entry["submit_ns"])
+        self._completed.append(
+            (base, n_ticks, entry["flags"], entry["v_min"], version)
+        )
         self._collected_slots += 1
         registry = get_registry()
         if registry.enabled:
@@ -386,6 +353,28 @@ class ShardedFleet:
             registry.counter("serve.frames").inc(self.n_streams * n_ticks)
             registry.timer("serve.e2e").record(self.latencies_ns[-1] / 1e9)
         return 1
+
+    def _send(self, shard: _Shard, message: Tuple) -> None:
+        """Send ``message`` after reading every answer already sent:
+        with more messages in flight than the pipe buffers, both sides
+        blocked in a send would deadlock."""
+        try:
+            self._drain(shard)
+            shard.conn.send(message)
+        except OSError:
+            self._collect(0.0, "submit")  # raises the worker's own error
+            raise RuntimeError(f"serve worker {shard.name} died") from None
+
+    def _recv(self, shard: _Shard) -> Any:
+        try:
+            message = shard.conn.recv()
+        except (EOFError, OSError):
+            raise RuntimeError(f"serve worker {shard.name} died") from None
+        if isinstance(message, tuple) and message[0] == "error":
+            raise RuntimeError(
+                f"serve worker {shard.name} failed:\n{message[1]}"
+            )
+        return message
 
     def take_completed(
         self,
@@ -399,19 +388,8 @@ class ShardedFleet:
 
     def drain(self) -> None:
         """Block until every submitted slot's results are collected."""
-        deadline = time.monotonic() + self.timeout
         while self._collected_slots < self._submitted_slots:
-            if self.poll_results() == 0:
-                self._check_workers()
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"serve drain stalled at "
-                        f"{self._collected_slots}/{self._submitted_slots} "
-                        "slots"
-                    )
-                time.sleep(_POLL_S)
-            else:
-                deadline = time.monotonic() + self.timeout
+            self._collect(self.timeout, "drain")
 
     def run_frames(
         self, frames: np.ndarray
@@ -446,48 +424,32 @@ class ShardedFleet:
     def hot_swap(self, model: PlacementModel) -> int:
         """Publish a new model version; returns the version number.
 
-        The model is serialized to the shared work directory first and
-        the version broadcast second, so a worker can never observe a
-        version without its file.  The swap takes effect at the next
-        submitted cycle (``effective_from_cycle = next base cycle``):
-        slots already submitted are served by the old model, everything
-        submitted afterwards by the new one — a deterministic boundary
-        regardless of worker timing.  No frames are dropped.
+        The swap takes effect at the next submitted cycle: the next
+        chunk carries the model to each shard ahead of its slot (and
+        waits until the shard has no slot in flight), so slots already
+        submitted are served by the old model and everything submitted
+        afterwards by the new one — a deterministic boundary regardless
+        of worker timing.  No frames are dropped.  Of several swaps
+        between two chunks only the last is sent.
         """
         if self._inflight is not None:
             raise RuntimeError(
                 "hot_swap with a partially pushed chunk in flight; finish "
                 "the try_submit_chunk retry loop first"
             )
-        version = self._version + 1
-        save_placement(model_path(self._workdir, version), model)
-        self._version_slot.write(version, from_cycle=self._next_cycle)
-        self._version = version
+        self._version += 1
+        self.model = model
         registry = get_registry()
         if registry.enabled:
             registry.counter("serve.hot_swaps").inc()
             registry.event(
                 "serve.hot_swap",
-                version=version,
+                version=self._version,
                 effective_from_cycle=self._next_cycle,
             )
-        return version
+        return self._version
 
     # -- shutdown ---------------------------------------------------------
-
-    def _check_workers(self) -> None:
-        for i, proc in enumerate(self._procs):
-            if proc is not None and not proc.is_alive():
-                message = f"serve worker {self._shards[i].name} died"
-                if self._pipes[i] is not None and self._pipes[i].poll(0):
-                    try:
-                        report = self._pipes[i].recv()
-                    except EOFError:
-                        # A killed worker's pipe polls readable at EOF.
-                        report = None
-                    if isinstance(report, dict) and "error" in report:
-                        message += f": {report['error']}"
-                raise RuntimeError(message)
 
     def finish(self) -> ServeResult:
         """Drain, stop every worker, merge telemetry, and clean up.
@@ -495,34 +457,29 @@ class ShardedFleet:
         Merges each shard's metrics snapshot into the parent registry
         and emits one ``obs.worker`` event per shard (source
         ``"serve"``), which ``repro.obs.manifest`` v3 collects into the
-        per-shard manifest section.
+        per-shard manifest section.  On any failure the fleet is
+        aborted before the error propagates.
         """
         if self._finished:
             raise RuntimeError("ShardedFleet.finish called twice")
-        self.drain()
-        for ring in self._in_rings:
-
-            def stop(payload: np.ndarray, meta: np.ndarray) -> None:
-                meta[0] = KIND_STOP
-
-            ring.push(stop, timeout=self.timeout)
-
-        reports: List[Dict[str, Any]] = []
-        for i, pipe in enumerate(self._pipes):
-            if not pipe.poll(self.timeout):
-                raise TimeoutError(
-                    f"serve worker {self._shards[i].name} sent no final "
-                    "report"
-                )
-            report = pipe.recv()
-            if "error" in report:
-                raise RuntimeError(
-                    f"serve worker {self._shards[i].name} failed:\n"
-                    f"{report['error']}"
-                )
-            reports.append(report)
-        for proc in self._procs:
-            proc.join(self.timeout)
+        try:
+            while not self.try_submit_chunk():
+                self._collect(self.timeout, "submit")
+            self.drain()
+            for shard in self._shards:
+                self._send(shard, ("stop",))
+            reports: List[Dict[str, Any]] = []
+            for shard in self._shards:
+                if not shard.conn.poll(self.timeout):
+                    raise TimeoutError(
+                        f"serve worker {shard.name} sent no final report"
+                    )
+                reports.append(self._recv(shard))
+            for proc in self._procs:
+                proc.join(self.timeout)
+        except BaseException:
+            self.abort()
+            raise
 
         registry = get_registry()
         events: List[List[EmergencyEvent]] = [[] for _ in range(self.n_streams)]
@@ -532,16 +489,16 @@ class ShardedFleet:
         shard_stats: Dict[str, FleetStats] = {}
         frames = 0
         version = 0
-        for spec, report in zip(self._shards, reports):
+        for shard, report in zip(self._shards, reports):
             stats: FleetStats = report["stats"]
-            shard_stats[spec.name] = stats
+            shard_stats[shard.name] = stats
             frames += report["frames"]
             version = max(version, report["model_version"])
             for local, stream_events in enumerate(report["events"]):
-                events[spec.stream_lo + local] = stream_events
+                events[shard.lo + local] = stream_events
             for local, stream_failures in enumerate(report["failures"]):
-                failures[spec.stream_lo + local] = [
-                    replace(f, stream=spec.stream_lo + local)
+                failures[shard.lo + local] = [
+                    replace(f, stream=shard.lo + local)
                     for f in stream_failures
                 ]
             if registry.enabled:
@@ -549,7 +506,7 @@ class ShardedFleet:
                 registry.event(
                     "obs.worker",
                     source="serve",
-                    shard=spec.name,
+                    shard=shard.name,
                     n_streams=stats.n_streams,
                     cycles=stats.cycles,
                     events=stats.events,
@@ -589,42 +546,23 @@ class ShardedFleet:
         return result
 
     def abort(self) -> None:
-        """Hard stop: close rings, kill workers, release shared memory."""
-        for ring in self._in_rings + self._out_rings:
-            try:
-                ring.close()
-            except Exception:
-                pass
+        """Hard stop: kill every worker and release the slot blocks."""
         for proc in self._procs:
-            if proc is not None and proc.is_alive():
+            if proc.is_alive():
                 proc.terminate()
-                proc.join(5.0)
+        for proc in self._procs:
+            proc.join(5.0)
         self._finished = True
         self._cleanup()
 
     def _cleanup(self) -> None:
-        for ring in self._in_rings + self._out_rings:
-            try:
-                ring.detach()
-                ring.unlink()
-            except Exception:
-                pass
-        self._in_rings = []
-        self._out_rings = []
-        try:
-            self._version_slot.detach()
-            self._version_slot.unlink()
-        except Exception:
-            pass
-        for pipe in self._pipes:
-            try:
-                pipe.close()
-            except Exception:
-                pass
-        self._pipes = []
+        for shard in self._shards:
+            shard.conn.close()
+            shard.frames = shard.results = None  # type: ignore[assignment]
+            shard.block.close()
+            shard.block.unlink()
+        self._shards = []
         self._procs = []
-        if self._own_workdir and os.path.isdir(self._workdir):
-            shutil.rmtree(self._workdir, ignore_errors=True)
 
     def __enter__(self) -> "ShardedFleet":
         return self

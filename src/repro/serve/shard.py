@@ -1,198 +1,127 @@
-"""The shard worker: one ``FleetMonitor`` per process, fed by rings.
+"""The shard worker: one ``FleetMonitor`` per process, fed through a pipe.
 
-A worker owns one contiguous slice of the fleet's streams.  Its loop
-is pure shared-memory: pop a frame slot ``(S_shard, slot_ticks, Q)``
-from the input ring, run :meth:`FleetMonitor.run_batch` directly on a
-zero-copy view of the slot, push the ``(2, S_shard, slot_ticks)``
-result slot (row 0 the per-cycle minimum predictions, row 1 the alarm
-flags) to the output ring, repeat.  Nothing is pickled until shutdown,
-when the final report (events, failures, stats, metrics snapshot)
-travels once over a pipe.
+A worker owns one contiguous slice of the fleet's streams and one
+shared slot block (:func:`slot_views`).  Slot ``k`` of the block holds
+a frame area ``(S_shard, slot_ticks, Q)`` and a result area
+``(2, S_shard, slot_ticks)``: row 0 the per-cycle minimum predictions,
+row 1 the alarm flags.  The pipe carries only small messages, in
+order:
 
-Between slots the worker checks the fleet-wide :class:`VersionSlot`;
-when the coordinator has published a newer model version whose
-``effective_from_cycle`` has been reached, the worker loads the
-serialized model (``model_v<N>.npz`` in the shared work directory) and
-hot-swaps it via :meth:`FleetMonitor.swap_model` — episodes, debounce
-and fault state carry over and no frames are dropped.  Because the
-coordinator publishes the version *before* pushing the first slot at
-or past the effective cycle, the swap boundary is deterministic: every
-slot with ``base_cycle >= effective_from_cycle`` is served by the new
-model, every earlier slot by the old one.
+* ``("frames", slot, n_ticks)`` — run :meth:`FleetMonitor.run_batch`
+  on a view of the slot's frames, write its result area, and answer
+  ``(slot, version)``;
+* ``("swap", version, model)`` — hot-swap via
+  :meth:`FleetMonitor.swap_model` before the next slot, so episodes,
+  debounce and fault state carry over and no frame is dropped;
+* ``("stop",)`` — answer with the final report (events, failures,
+  stats, metrics snapshot) and exit.
+
+A failure is answered with ``("error", traceback)`` instead.
 """
 
 from __future__ import annotations
 
-import os
 import traceback
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
 import repro.obs as obs
+from repro.core.pipeline import PlacementModel
 from repro.monitor.faults import FaultPolicy
 from repro.monitor.fleet import FleetMonitor
-from repro.serve.ring import RingClosed, RingSpec, SpscRing, VersionSlot
 
-__all__ = [
-    "KIND_FRAMES",
-    "KIND_STOP",
-    "META_FIELDS",
-    "ShardSpec",
-    "model_path",
-    "run_worker",
-]
+__all__ = ["block_bytes", "run_worker", "slot_views"]
 
-#: Slot metadata layout (shared by both rings):
-#:   [0] kind, [1] n_ticks, [2] base_cycle, [3] submit perf_counter_ns,
-#:   [4] model version that served the slot (result ring only).
-KIND_FRAMES = 0
-KIND_STOP = 1
-
-META_FIELDS = 6
+#: ``(slots, streams, slot_ticks, sensors)`` of one shard's block.
+Layout = Tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """Everything a worker needs to serve its shard (picklable once)."""
-
-    shard_id: int
-    name: str
-    stream_lo: int
-    stream_hi: int
-    in_ring: RingSpec
-    out_ring: RingSpec
-    version_name: str
-    model_dir: str
-    threshold: float
-    debounce: int
-    policy: Optional[FaultPolicy]
-
-    @property
-    def n_streams(self) -> int:
-        return self.stream_hi - self.stream_lo
+def block_bytes(layout: Layout) -> int:
+    """Size of a slot block: float64 frame areas, then result areas."""
+    n_slots, n_streams, slot_ticks, n_sensors = layout
+    return 8 * n_slots * n_streams * slot_ticks * (n_sensors + 2)
 
 
-def model_path(model_dir: str, version: int) -> str:
-    """Serialized model file of ``version`` in the shared work dir."""
-    return os.path.join(model_dir, f"model_v{int(version)}.npz")
+def slot_views(buf: Any, layout: Layout) -> Tuple[np.ndarray, np.ndarray]:
+    """``(frames, results)`` views of a slot block, indexed by slot."""
+    n_slots, n_streams, slot_ticks, n_sensors = layout
+    frames = np.ndarray(
+        (n_slots, n_streams, slot_ticks, n_sensors), np.float64, buffer=buf
+    )
+    results = np.ndarray(
+        (n_slots, 2, n_streams, slot_ticks), np.float64, buffer=buf,
+        offset=frames.nbytes,
+    )
+    return frames, results
 
 
-class _WorkerLoop:
-    """State of one worker's serve loop (version, counters, buffers)."""
-
-    def __init__(self, spec: ShardSpec, registry: Any) -> None:
-        from repro.core.serialization import load_placement
-
-        self.spec = spec
-        self.load_placement = load_placement
-        self.in_ring = SpscRing.attach(spec.in_ring)
-        self.out_ring = SpscRing.attach(spec.out_ring)
-        self.version_slot = VersionSlot.attach(spec.version_name)
-        self.version = 0
-        model = load_placement(model_path(spec.model_dir, self.version))
-        self.fleet = FleetMonitor(
-            model,
-            spec.threshold,
-            debounce=spec.debounce,
-            n_streams=spec.n_streams,
-            policy=spec.policy,
-            shard=spec.name,
-        )
-        slot_ticks = spec.in_ring.slot_shape[1]
-        self.v_min = np.empty((spec.n_streams, slot_ticks))
-        self.stop = False
-        self.frames = 0
-        self.slots = 0
-        self.batch_timer = registry.timer(f"serve.batch[{spec.name}]")
-        self.frame_counter = registry.counter(f"serve.frames[{spec.name}]")
-
-    def maybe_swap(self, base_cycle: int) -> None:
-        new_version, from_cycle = self.version_slot.read()
-        if new_version > self.version and base_cycle >= from_cycle:
-            model = self.load_placement(
-                model_path(self.spec.model_dir, new_version)
-            )
-            self.fleet.swap_model(model)
-            self.version = new_version
-
-    def handle(self, payload: np.ndarray, meta: np.ndarray) -> None:
-        """Consume one input slot (runs inside the input-ring pop)."""
-        if int(meta[0]) == KIND_STOP:
-            self.stop = True
-            return
-        n_ticks = int(meta[1])
-        base_cycle = int(meta[2])
-        submit_ns = int(meta[3])
-        self.maybe_swap(base_cycle)
-        with self.batch_timer.time():
-            flags = self.fleet.run_batch(
-                payload[:, :n_ticks, :],
-                v_min_out=self.v_min[:, :n_ticks],
-            )
-
-        def fill(out: np.ndarray, out_meta: np.ndarray) -> None:
-            out[0, :, :n_ticks] = self.v_min[:, :n_ticks]
-            out[1, :, :n_ticks] = flags
-            out_meta[0] = KIND_FRAMES
-            out_meta[1] = n_ticks
-            out_meta[2] = base_cycle
-            out_meta[3] = submit_ns
-            out_meta[4] = self.version
-
-        self.out_ring.push(fill)
-        self.frames += self.spec.n_streams * n_ticks
-        self.slots += 1
-        self.frame_counter.inc(self.spec.n_streams * n_ticks)
-
-    def final_report(self, registry: Any) -> Dict[str, Any]:
-        stats = self.fleet.finish()
-        return {
-            "shard": self.spec.name,
-            "shard_id": self.spec.shard_id,
-            "stream_lo": self.spec.stream_lo,
-            "stream_hi": self.spec.stream_hi,
-            "frames": self.frames,
-            "slots": self.slots,
-            "model_version": self.version,
-            "stats": stats,
-            "events": self.fleet.events,
-            "failures": self.fleet.failures,
-            "snapshot": registry.snapshot(),
-        }
-
-    def detach(self) -> None:
-        for resource in (self.in_ring, self.out_ring, self.version_slot):
-            try:
-                resource.detach()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-
-
-def run_worker(spec: ShardSpec, conn: Any) -> None:
+def run_worker(
+    name: str,
+    block: Any,
+    layout: Layout,
+    model: PlacementModel,
+    threshold: float,
+    debounce: int,
+    policy: Optional[FaultPolicy],
+    conn: Any,
+    coordinator_end: Any,
+) -> None:
     """Worker process entry point (must stay importable for spawn).
 
-    ``conn`` is the child end of a ``multiprocessing.Pipe``; the worker
-    sends exactly one message on it — the final report dict, or
-    ``{"error": ...}`` with a traceback — and closes it.
+    ``block`` is the shard's ``SharedMemory`` slot block and ``conn``
+    the worker end of its duplex pipe (message protocol in the module
+    docstring).  ``coordinator_end``, the other end, is closed at once:
+    a forked worker inherits it, and holding it would keep the pipe
+    open, so a worker whose coordinator was killed would wait forever
+    instead of reading end-of-file.
     """
+    coordinator_end.close()
     registry = obs.MetricsRegistry()
-    loop: Optional[_WorkerLoop] = None
     try:
         with obs.use_registry(registry):
-            loop = _WorkerLoop(spec, registry)
-            while not loop.stop:
-                loop.in_ring.pop(loop.handle)
-            conn.send(loop.final_report(registry))
-    except RingClosed:
-        conn.send({"error": f"shard {spec.name}: ring closed before stop"})
+            frames, results = slot_views(block.buf, layout)
+            n_streams = layout[1]
+            fleet = FleetMonitor(
+                model, threshold, debounce=debounce, n_streams=n_streams,
+                policy=policy, shard=name,
+            )
+            batch_timer = registry.timer(f"serve.batch[{name}]")
+            frame_counter = registry.counter(f"serve.frames[{name}]")
+            version = served = slots = 0
+            while True:
+                message = conn.recv()
+                if message[0] == "frames":
+                    _, slot, n_ticks = message
+                    with batch_timer.time():
+                        flags = fleet.run_batch(
+                            frames[slot, :, :n_ticks],
+                            v_min_out=results[slot, 0, :, :n_ticks],
+                        )
+                    results[slot, 1, :, :n_ticks] = flags
+                    conn.send((slot, version))
+                    served += n_streams * n_ticks
+                    slots += 1
+                    frame_counter.inc(n_streams * n_ticks)
+                elif message[0] == "swap":
+                    _, version, model = message
+                    fleet.swap_model(model)
+                else:
+                    break
+            stats = fleet.finish()
+        conn.send({
+            "frames": served,
+            "slots": slots,
+            "model_version": version,
+            "stats": stats,
+            "events": fleet.events,
+            "failures": fleet.failures,
+            "snapshot": registry.snapshot(),
+        })
     except Exception:  # noqa: BLE001 - report any failure to the parent
-        conn.send({"error": traceback.format_exc()})
-        if loop is not None:
-            loop.in_ring.close()
-            loop.out_ring.close()
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:  # the coordinator is gone
+            pass
     finally:
         conn.close()
-        if loop is not None:
-            loop.detach()

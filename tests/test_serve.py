@@ -11,14 +11,22 @@ backpressure policies are tested without worker processes.
 """
 
 import asyncio
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from collections import deque
+from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.serve.fleet as serve_fleet
 from repro.core import PipelineConfig, fit_placement
 from repro.core.serialization import load_placement, save_placement
 from repro.monitor import DropoutFault, FaultPolicy, FleetMonitor
@@ -158,9 +166,44 @@ class TestBitEquivalence:
         assert np.array_equal(flags, ref_flags)
         assert np.array_equal(v_min, ref_v_min)
 
+    def test_identical_with_more_shards_than_cores_and_one_slot(
+        self, fitted
+    ):
+        """Every hand-off of a slot block, with the workers outnumbering
+        the cores and a partial last chunk; a lost or torn slot would
+        break bit-identity."""
+        ds, model = fitted
+        threshold = _alarm_threshold(model, ds)
+        n_shards = (os.cpu_count() or 1) + 2
+        frames = _streams(
+            model, ds, n_streams=2 * n_shards, n_cycles=200, seed=5
+        )
+        ref_flags, ref_v_min, _ = _reference(model, threshold, frames)
+        fleet = ShardedFleet(
+            model,
+            threshold,
+            n_streams=2 * n_shards,
+            n_shards=n_shards,
+            slot_ticks=3,
+            ring_slots=1,
+            timeout=30.0,
+        )
+        try:
+            flags, v_min = fleet.run_frames(frames)
+            result = fleet.finish()
+        except BaseException:
+            fleet.abort()
+            raise
+        assert np.array_equal(flags, ref_flags)
+        assert np.array_equal(v_min, ref_v_min)
+        assert result.frames == frames.shape[0] * frames.shape[1]
+
 
 class TestHotSwap:
-    def test_swap_boundary_is_deterministic_and_lossless(self, fitted):
+    @pytest.mark.parametrize("ring_slots", [1, 4])
+    def test_swap_boundary_is_deterministic_and_lossless(
+        self, fitted, ring_slots
+    ):
         ds, model = fitted
         threshold = _alarm_threshold(model, ds)
         frames = _streams(model, ds, n_streams=4, n_cycles=96, seed=11)
@@ -181,7 +224,7 @@ class TestHotSwap:
             n_streams=4,
             n_shards=2,
             slot_ticks=16,
-            ring_slots=4,
+            ring_slots=ring_slots,
         )
         try:
             fleet.submit(frames[:, :swap_at])
@@ -232,6 +275,80 @@ class TestHotSwap:
         finally:
             fleet.abort()
 
+    def test_swap_waits_for_an_idle_worker(self, fitted):
+        """A model is sent only to a worker with no slot in flight, so
+        the worker never has answers to send before it reads the model."""
+        ds, model = fitted
+        frames = _streams(model, ds, n_streams=2, n_cycles=8)
+        fleet = ShardedFleet(
+            model,
+            _alarm_threshold(model, ds),
+            n_streams=2,
+            n_shards=1,
+            slot_ticks=4,
+            ring_slots=4,
+        )
+        try:
+            assert fleet.try_submit_chunk(frames[:, :4])
+            fleet.hot_swap(model)
+            assert not fleet.try_submit_chunk(frames[:, 4:])
+            fleet.drain()
+            assert fleet.try_submit_chunk()
+            fleet.drain()
+            versions = [ver for _, _, _, _, ver in fleet.take_completed()]
+            fleet.finish()
+        except BaseException:
+            fleet.abort()
+            raise
+        assert versions == [0, 1]
+
+    def test_no_deadlock_with_many_slots_and_a_large_swap(self):
+        """More messages in flight than a pipe buffers, and a model swap
+        larger than the buffer, must not block both sides in a send."""
+        done = _run_script(_MANY_SLOTS_LARGE_SWAP)
+        assert done.returncode == 0, done.stderr
+
+    def test_last_of_two_swaps_between_chunks_wins(self, fitted):
+        ds, model = fitted
+        threshold = _alarm_threshold(model, ds)
+        frames = _streams(model, ds, n_streams=4, n_cycles=96, seed=13)
+        swap_at = 48
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.npz")
+            save_placement(path, model)
+            model_v1, model_v2 = load_placement(path), load_placement(path)
+
+        ref_flags, ref_v_min, _ = _reference(model, threshold, frames)
+        fleet = ShardedFleet(
+            model,
+            threshold,
+            n_streams=4,
+            n_shards=2,
+            slot_ticks=16,
+            ring_slots=4,
+        )
+        try:
+            fleet.submit(frames[:, :swap_at])
+            assert fleet.hot_swap(model_v1) == 1
+            assert fleet.hot_swap(model_v2) == 2
+            fleet.submit(frames[:, swap_at:])
+            fleet.drain()
+            slots = fleet.take_completed()
+            result = fleet.finish()
+        except BaseException:
+            fleet.abort()
+            raise
+
+        flags = np.concatenate([s[2] for s in slots], axis=1)
+        v_min = np.concatenate([s[3] for s in slots], axis=1)
+        assert np.array_equal(flags, ref_flags)
+        assert np.array_equal(v_min, ref_v_min)
+        assert result.frames == 4 * 96
+        assert result.model_version == 2
+        assert [ver for _, _, _, _, ver in slots] == [
+            0 if base < swap_at else 2 for base, _, _, _, _ in slots
+        ]
+
 
 class TestWorkerSupervision:
     def test_dead_worker_is_reported(self, fitted):
@@ -260,6 +377,245 @@ class TestWorkerSupervision:
         _, model = fitted
         with pytest.raises(ValueError, match="exceeds n_streams"):
             ShardedFleet(model, 0.9, n_streams=2, n_shards=3)
+
+    @pytest.mark.parametrize("in_flight", [0, 2])
+    def test_frontend_raises_when_a_worker_dies(self, fitted, in_flight):
+        """A dead shard must surface through ``poll_results`` instead of
+        leaving the frontend waiting for slots that never free up."""
+        ds, model = fitted
+        threshold = _alarm_threshold(model, ds)
+        frames = _streams(model, ds, n_streams=2, n_cycles=40)
+        fleet = ShardedFleet(
+            model,
+            threshold,
+            n_streams=2,
+            n_shards=2,
+            slot_ticks=4,
+            ring_slots=2,
+            timeout=5.0,
+        )
+        try:
+            for _ in range(in_flight):
+                assert fleet.try_submit_chunk(frames[:, :4])
+            fleet._procs[0].terminate()
+            fleet._procs[0].join(10.0)
+            assert not fleet._procs[0].is_alive()
+            frontend = IngestionFrontend(fleet, max_pending=2, policy="block")
+
+            async def feed():
+                for t in range(frames.shape[1]):
+                    await frontend.submit_tick(frames[:, t])
+                await frontend.flush()
+
+            with pytest.raises(RuntimeError, match="shard0 died"):
+                asyncio.run(asyncio.wait_for(feed(), 30))
+        finally:
+            fleet.abort()
+
+
+def _fleet_handles(fleet):
+    """Worker pids and slot-block names of a live fleet."""
+    return (
+        {proc.pid for proc in fleet._procs},
+        [shard.block.name for shard in fleet._shards],
+    )
+
+
+def _assert_released(pids, blocks):
+    alive = {proc.pid for proc in multiprocessing.active_children()}
+    assert not alive & pids
+    for name in blocks:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
+#: Start of every script run by ``_run_script``: a fitted model.
+_SCRIPT_PREAMBLE = """
+import numpy as np
+from repro.core import PipelineConfig, fit_placement
+from repro.serve import ShardedFleet
+from tests.conftest import make_synthetic_dataset
+
+ds = make_synthetic_dataset(seed=3)
+model = fit_placement(ds, PipelineConfig(budget=1.0))
+cols = model.sensor_candidate_cols
+"""
+
+
+_ABORT_AFTER_KILL = """
+chunk = np.repeat(ds.X[np.newaxis, :4][:, :, cols], 2, axis=0)
+fleet = ShardedFleet(model, 0.9, n_streams=2, n_shards=2, slot_ticks=4,
+                     ring_slots=2)
+assert fleet.try_submit_chunk(chunk)
+assert fleet.try_submit_chunk(chunk)
+fleet._procs[0].kill()
+fleet.abort()
+"""
+
+
+_KILL_COORDINATOR = """
+import os
+import signal
+
+chunk = np.repeat(ds.X[np.newaxis, :4][:, :, cols], 2, axis=0)
+fleet = ShardedFleet(model, 0.9, n_streams=2, n_shards=2, slot_ticks=4,
+                     ring_slots=2)
+assert fleet.try_submit_chunk(chunk)
+print(" ".join(str(proc.pid) for proc in fleet._procs), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+_MANY_SLOTS_LARGE_SWAP = """
+import copy
+
+frames = np.repeat(np.tile(ds.X, (3, 1))[np.newaxis][:, :, cols], 2, axis=0)
+n = frames.shape[1]
+large = copy.copy(model)
+large.ballast = np.zeros(1 << 18)  # 2 MB: more than a pipe buffers
+fleet = ShardedFleet(model, 0.9, n_streams=2, n_shards=1, slot_ticks=1,
+                     ring_slots=n, timeout=30.0)
+for t in range(n - 100):  # more slots in flight than a pipe buffers
+    assert fleet.try_submit_chunk(frames[:, t : t + 1])
+fleet.hot_swap(large)
+fleet.submit(frames[:, n - 100 :])
+fleet.drain()
+result = fleet.finish()
+assert result.frames == 2 * n and result.model_version == 1
+"""
+
+
+def _run_script(script):
+    """Run ``script`` after the preamble in a fresh interpreter, for at
+    most 60 s.
+
+    Output goes through files, not pipes, so a worker that outlives the
+    script cannot hold the call open.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile(
+        "w+"
+    ) as err:
+        done = subprocess.run(
+            [sys.executable, "-c", _SCRIPT_PREAMBLE + script],
+            cwd=root,
+            env=env,
+            stdout=out,
+            stderr=err,
+            timeout=60,
+        )
+        out.seek(0)
+        err.seek(0)
+        done.stdout, done.stderr = out.read(), err.read()
+    return done
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestLifecycle:
+    """No worker process or shared-memory block outlives the fleet."""
+
+    def _fleet(self, fitted):
+        ds, model = fitted
+        frames = _streams(model, ds, n_streams=2, n_cycles=16)
+        fleet = ShardedFleet(
+            model,
+            _alarm_threshold(model, ds),
+            n_streams=2,
+            n_shards=2,
+            slot_ticks=4,
+            ring_slots=2,
+            timeout=30.0,
+        )
+        return fleet, frames
+
+    def test_finish_releases_workers_and_blocks(self, fitted):
+        fleet, frames = self._fleet(fitted)
+        handles = _fleet_handles(fleet)
+        try:
+            fleet.run_frames(frames)
+            fleet.finish()
+        except BaseException:
+            fleet.abort()
+            raise
+        _assert_released(*handles)
+
+    def test_abort_releases_workers_and_blocks(self, fitted):
+        fleet, frames = self._fleet(fitted)
+        handles = _fleet_handles(fleet)
+        assert fleet.try_submit_chunk(frames[:, :4])
+        fleet.abort()
+        _assert_released(*handles)
+
+    def test_abort_after_worker_killed_in_flight(self, fitted):
+        fleet, frames = self._fleet(fitted)
+        handles = _fleet_handles(fleet)
+        for lo in (0, 4):
+            assert fleet.try_submit_chunk(frames[:, lo : lo + 4])
+        fleet._procs[0].terminate()
+        fleet.abort()
+        _assert_released(*handles)
+
+    def test_raising_with_body_releases_workers_and_blocks(self, fitted):
+        fleet, frames = self._fleet(fitted)
+        with pytest.raises(ValueError, match="body failed"):
+            with fleet:
+                handles = _fleet_handles(fleet)
+                assert fleet.try_submit_chunk(frames[:, :4])
+                raise ValueError("body failed")
+        _assert_released(*handles)
+
+    def test_failed_construction_releases_workers_and_blocks(
+        self, fitted, monkeypatch
+    ):
+        real = serve_fleet.shared_memory.SharedMemory
+        created = []
+
+        def second_block_fails(*args, **kwargs):
+            if created:
+                raise OSError("no room for another block")
+            created.append(real(*args, **kwargs))
+            return created[-1]
+
+        monkeypatch.setattr(
+            serve_fleet.shared_memory, "SharedMemory", second_block_fails
+        )
+        before = {proc.pid for proc in multiprocessing.active_children()}
+        with pytest.raises(OSError, match="no room"):
+            self._fleet(fitted)
+        monkeypatch.undo()
+        spawned = {p.pid for p in multiprocessing.active_children()} - before
+        _assert_released(spawned, [block.name for block in created])
+
+    def test_interpreter_exits_after_abort_with_dead_worker(self):
+        done = _run_script(_ABORT_AFTER_KILL)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        done = _run_script(_KILL_COORDINATOR)
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2, done.stderr
+        deadline = time.monotonic() + 30.0
+        try:
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class _StubFleet:
@@ -412,7 +768,7 @@ class TestServeObservability:
             "bit_identical": True,
             "reference": {"run_batch_s": 0.5, "streams_per_s": 128.0},
             "transport": {
-                "queue_pickle_s": 0.2, "ring_s": 0.1, "speedup": 2.0,
+                "queue_pickle_s": 0.2, "fleet_s": 0.1, "speedup": 2.0,
             },
             "points": [
                 {
