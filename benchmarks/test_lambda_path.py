@@ -3,9 +3,8 @@
 Times one full Table 1-style sweep through the shared-Gram,
 warm-started :class:`~repro.core.path_engine.LambdaPathEngine` and one
 through the sequential baseline (no warm starts, strict probes), and
-checks they select the same sensors.  ``benchmarks/run_bench.py``
-produces the committed
-``BENCH_sweep.json`` from the same configuration.
+checks they select the same sensors.  The ``lambda-path`` workload of
+``benchmarks/e2e`` times the same budget grid.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from benchmarks.conftest import run_once
 from repro.core.lambda_sweep import sweep_lambda
 from repro.core.pipeline import PipelineConfig
 
-#: Same grid as benchmarks/run_bench.py (the paper-relevant sparse
-#: regime; see docs/performance.md for why near-slack budgets are
-#: excluded).
+#: Same grid as the ``lambda-path`` workload (the paper-relevant
+#: sparse regime; see docs/performance.md for why near-slack budgets
+#: are excluded).
 BUDGETS = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
 
 

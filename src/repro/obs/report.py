@@ -2,22 +2,26 @@
 
 Loads two run artifacts — run manifests (``repro.obs.manifest/v*``,
 written by the experiment runner's ``--trace-out``) or benchmark
-reports (``BENCH_*.json`` from ``benchmarks/run_bench.py``, any mode)
-— aligns their counters, timers and scalar statistics, and emits an
-ASCII table plus an optional JSON verdict flagging deltas beyond
-configurable thresholds.
+reports (``BENCH_*.json`` from ``benchmarks/run_bench.py``, any mode,
+and the tournament's ``results/leaderboard.json``) — aligns their
+counters, timers and scalar statistics, and emits an ASCII table plus
+an optional JSON verdict flagging deltas beyond configurable
+thresholds.
 
-Classification is by metric name, and every regression-eligible class
-is lower-is-better:
+Classification is by metric name, split into tokens on every
+non-alphanumeric character, and every regression-eligible class is
+lower-is-better:
 
 ========== ============================================= ================
 class      matched metrics                               default threshold
 ========== ============================================= ================
 latency    timer ``p99_s`` (and manifest timer entries)  +50 %
 iterations names containing ``iteration``                +25 %
-accuracy   ``relative_error``/``max_abs_error``/ME/WAE/TE +10 %
-problems   ``problems`` / ``solver_problems`` counts      any increase
-info       wall-clock seconds, speedups, plain counters   never flagged
+accuracy   an ``error``, ``me``, ``wae``, ``te`` or       +10 %
+           ``miss`` token (``overall_error[placer=…]``,
+           ``nominal_error[…]``, ``fit_error_rms``, …)
+problems   a ``problems`` token                          any increase
+info       wall-clock seconds, speedups, plain counters  never flagged
 ========== ============================================= ================
 
 Wall-clock scalars (``*_s``, speedups, cycles/s) are reported but never
@@ -61,7 +65,7 @@ __all__ = [
 REPORT_SCHEMA = "repro.obs.report/v1"
 
 #: Name tokens that mark a metric as an accuracy statistic.
-_ACCURACY_TOKENS = {"me", "wae", "te", "miss", "wrong_alarm"}
+_ACCURACY_TOKENS = {"error", "me", "wae", "te", "miss"}
 
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
@@ -114,11 +118,7 @@ def _classify(name: str) -> str:
         return "iterations"
     if "cache" in tokens:  # cache_miss is a hit-rate stat, not a miss *error*
         return "info"
-    if (
-        "relative_error" in lowered
-        or "max_abs_error" in lowered
-        or tokens & _ACCURACY_TOKENS
-    ):
+    if tokens & _ACCURACY_TOKENS:
         return "accuracy"
     return "info"
 
@@ -300,9 +300,9 @@ def diff_runs(
 
     Returns the JSON-ready verdict: ``{schema, comparable, rows,
     regressions, verdict}``.  ``comparable`` is False when the runs are
-    different kinds/modes (e.g. a sweep bench against a monitor bench)
-    — rows are still produced for whatever aligns, but the mismatch is
-    called out so a wrong-baseline diff can't silently pass.
+    different kinds/modes (e.g. a datagen bench against a tournament
+    leaderboard) — rows are still produced for whatever aligns, but the
+    mismatch is called out so a wrong-baseline diff can't silently pass.
     """
     thresholds = thresholds or Thresholds()
     rows: List[Dict[str, Any]] = []
@@ -431,8 +431,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--accuracy-tol", type=float, default=0.10, metavar="FRAC",
-        help="allowed relative error growth (ME/WAE/TE, relative_error; "
-        "default 0.10)",
+        help="allowed relative growth of accuracy metrics (any name "
+        "with an error, ME, WAE, TE or miss token; default 0.10)",
     )
     parser.add_argument(
         "--json", default=None, metavar="OUT.json",

@@ -15,8 +15,8 @@ The serving layer turns the in-process
   front-end with bounded-queue backpressure (block / drop-oldest).
 
 Results are bit-identical to a single in-process
-``FleetMonitor.run_batch`` over the same frames; the ``--serve``
-benchmark asserts it (see ``BENCH_serve.json`` and
+``FleetMonitor.run_batch`` over the same frames; ``tests/test_serve.py``
+and the ``fleet-serve`` workload of ``benchmarks/e2e`` assert it (see
 ``docs/runtime_serving.md``).
 """
 

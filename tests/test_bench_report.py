@@ -23,42 +23,43 @@ from repro.obs.report import (
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: The committed report of every bench mode.
+COMMITTED = {
+    "datagen": "BENCH_datagen.json",
+    "surrogate": "BENCH_surrogate.json",
+    "tournament": os.path.join("results", "leaderboard.json"),
+}
 
-def _committed_bench(name):
-    path = os.path.join(REPO_ROOT, f"BENCH_{name}.json")
-    if not os.path.exists(path):
-        pytest.skip(f"{path} not committed")
+
+def _committed_bench(mode):
+    """(path, doc) of the committed report of ``mode``; a missing file
+    fails the calling test."""
+    path = os.path.join(REPO_ROOT, COMMITTED[mode])
     with open(path) as fh:
         return path, json.load(fh)
 
 
 class TestBenchSchema:
-    @pytest.mark.parametrize("name", ["sweep", "datagen", "monitor", "screen"])
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
     def test_committed_baselines_validate(self, name):
         _, doc = _committed_bench(name)
         assert validate_bench(doc) == []
         assert infer_mode(doc) == name
 
-    def test_legacy_sweep_without_mode_is_inferred(self):
-        _, doc = _committed_bench("sweep")
-        doc.pop("mode", None)
-        doc.pop("schema", None)
-        assert infer_mode(doc) == "sweep"
-        assert validate_bench(doc) == []
-
     def test_stamp_sets_schema_and_mode(self):
-        # Only the legacy sweep layout is inferrable without a mode tag;
-        # a datagen/monitor doc must keep its explicit mode.
-        _, doc = _committed_bench("sweep")
-        doc.pop("mode", None)
-        doc.pop("schema", None)
+        # The committed datagen report predates the schema stamp.
+        _, doc = _committed_bench("datagen")
+        assert "schema" not in doc
         stamp_bench(doc)
         assert doc["schema"] == BENCH_SCHEMA
-        assert doc["mode"] == "sweep"
+        assert doc["mode"] == "datagen"
 
     def test_unrecognizable_doc_raises(self):
         with pytest.raises(ValueError):
             infer_mode({"hello": "world"})
+        # A mode is never guessed from a report's shape.
+        with pytest.raises(ValueError):
+            infer_mode({"engine_points": []})
 
     def test_missing_required_field_reported(self):
         _, doc = _committed_bench("datagen")
@@ -66,7 +67,14 @@ class TestBenchSchema:
         problems = validate_bench(doc)
         assert any("speedup" in p for p in problems)
 
-    @pytest.mark.parametrize("name", ["sweep", "datagen", "monitor", "screen"])
+    def test_non_mapping_provenance_reported(self):
+        _, doc = _committed_bench("datagen")
+        doc["provenance"] = "laptop"
+        assert validate_bench(doc) == ["'provenance' must be a mapping"]
+        doc["provenance"] = {"git_sha": "unknown"}
+        assert validate_bench(doc) == []
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
     def test_normalize_shape(self, name):
         _, doc = _committed_bench(name)
         norm = normalize_bench(doc)
@@ -79,19 +87,19 @@ class TestBenchSchema:
 
 class TestDiffRuns:
     def test_self_diff_has_no_regressions(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("datagen")
         report = diff_runs(load_run_doc(doc), load_run_doc(doc))
         assert report["verdict"] == "ok"
         assert report["regressions"] == []
 
     def test_injected_accuracy_regression_flagged(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
         name, value = next(
             (k, v)
             for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
+            if k.startswith("nominal_error[placer=")
         )
         new["scalars"][name] = value * 2.0
         report = diff_runs(old, new)
@@ -101,51 +109,48 @@ class TestDiffRuns:
         )
 
     def test_within_threshold_delta_is_ok(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
         name, value = next(
             (k, v)
             for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
+            if k.startswith("nominal_error[placer=")
         )
         new["scalars"][name] = value * 1.05  # inside the 10% accuracy gate
         assert diff_runs(old, new)["verdict"] == "ok"
 
     def test_custom_thresholds(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("tournament")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
         name, value = next(
             (k, v)
             for k, v in new["scalars"].items()
-            if k.startswith("relative_error")
+            if k.startswith("nominal_error[placer=")
         )
         new["scalars"][name] = value * 1.05
         tight = Thresholds(accuracy=0.01)
         assert diff_runs(old, new, tight)["verdict"] == "regression"
 
     def test_wall_clock_scalars_are_info_only(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("datagen")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        for key in ("engine_s", "baseline_s", "datagen_s"):
-            if key in new["scalars"]:
-                new["scalars"][key] = new["scalars"][key] * 100
+        for key in ("reference_s", "optimized_s", "cache_cold_s"):
+            new["scalars"][key] = new["scalars"][key] * 100
         assert diff_runs(old, new)["verdict"] == "ok"
 
     def test_problem_counter_increase_always_flags(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("datagen")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        new["scalars"]["solver_problems"] = (
-            old["scalars"].get("solver_problems", 0) + 1
-        )
+        new["scalars"]["problems"] = old["scalars"]["problems"] + 1
         report = diff_runs(old, new)
         assert report["verdict"] == "regression"
 
     def test_render_ascii_mentions_verdict(self):
-        _, doc = _committed_bench("sweep")
+        _, doc = _committed_bench("datagen")
         run = load_run_doc(doc)
         text = render_ascii(diff_runs(run, run))
         assert "OK" in text
@@ -165,27 +170,37 @@ class TestReportCLI:
         return str(path)
 
     def test_self_diff_exit_zero(self, tmp_path, capsys):
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("datagen")
         assert main([path, path]) == 0
         out = capsys.readouterr().out
         assert "OK" in out
 
     def test_injected_regression_exit_one(self, tmp_path, capsys):
-        path, doc = _committed_bench("sweep")
+        # Every placer's errors tripled: each overall_error row must be
+        # flagged, not filed as "info".
+        path, doc = _committed_bench("tournament")
         bad = copy.deepcopy(doc)
-        for point in bad["engine_points"]:
-            point["relative_error"] = point["relative_error"] * 2.0
+        for entry in bad["entries"]:
+            entry["overall_error"] *= 3.0
+            entry["worst_degraded_error"] *= 3.0
+            entry["nominal"]["relative_error"] *= 3.0
         bad_path = self._write(tmp_path, "new.json", bad)
-        assert main([path, bad_path]) == 1
+        out_path = tmp_path / "diff.json"
+        assert main([path, bad_path, "--json", str(out_path)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+        flagged = {
+            r["metric"] for r in json.loads(out_path.read_text())["regressions"]
+        }
+        for entry in doc["entries"]:
+            assert f"scalar:overall_error[placer={entry['placer']}]" in flagged
 
     def test_unreadable_input_exit_two(self, tmp_path, capsys):
         garbage = self._write(tmp_path, "garbage.json", {"nope": 1})
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("datagen")
         assert main([path, garbage]) == 2
 
     def test_json_output(self, tmp_path, capsys):
-        path, _ = _committed_bench("sweep")
+        path, _ = _committed_bench("datagen")
         out_path = tmp_path / "diff.json"
         assert main([path, path, "--json", str(out_path)]) == 0
         saved = json.loads(out_path.read_text())
@@ -193,10 +208,10 @@ class TestReportCLI:
         assert saved["schema"].startswith("repro.obs.report/")
 
     def test_threshold_flags(self, tmp_path):
-        path, doc = _committed_bench("sweep")
+        path, doc = _committed_bench("tournament")
         worse = copy.deepcopy(doc)
-        for point in worse["engine_points"]:
-            point["relative_error"] = point["relative_error"] * 1.05
+        for entry in worse["entries"]:
+            entry["nominal"]["relative_error"] *= 1.05
         worse_path = self._write(tmp_path, "worse.json", worse)
         assert main([path, worse_path]) == 0
         assert main([path, worse_path, "--accuracy-tol", "0.01"]) == 1
@@ -229,9 +244,9 @@ class TestReportCLI:
         assert "REGRESSION" in out
 
     def test_mode_mismatch_warns_but_compares(self, tmp_path, capsys):
-        sweep_path, _ = _committed_bench("sweep")
+        tournament_path, _ = _committed_bench("tournament")
         datagen_path, _ = _committed_bench("datagen")
-        code = main([sweep_path, datagen_path])
+        code = main([tournament_path, datagen_path])
         out = capsys.readouterr().out
         assert "WARNING" in out
         assert code in (0, 1)
@@ -276,14 +291,14 @@ class TestCannotAlign:
         assert "cannot align" in capsys.readouterr().err
 
     def test_nan_bench_scalar_exit_two(self, tmp_path, capsys):
-        path, doc = _committed_bench("sweep")
+        path, doc = _committed_bench("datagen")
         bad = copy.deepcopy(doc)
-        bad["engine_s"] = float("nan")
+        bad["reference_s"] = float("nan")
         bad_path = self._write(tmp_path, "bad.json", bad)
         assert main([path, bad_path]) == 2
         err = capsys.readouterr().err
         assert "cannot align" in err
-        assert "engine_s" in err
+        assert "reference_s" in err
 
     def test_non_numeric_counter_exit_two(self, tmp_path, capsys):
         good = _worked_manifest()

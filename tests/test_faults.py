@@ -11,6 +11,7 @@ from repro.monitor import (
     SCREEN_FROZEN,
     SCREEN_NAN,
     SCREEN_RANGE,
+    CompiledPredictor,
     DriftFault,
     DropoutFault,
     FaultPolicy,
@@ -187,18 +188,34 @@ class TestDetectionAndFailover:
         assert failure.screen == SCREEN_RANGE
         assert failure.cycle == 40
 
-    def test_failover_serves_the_precomputed_loo_model(self, fitted):
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            DropoutFault(channel=1, start=10),
+            StuckAtFault(channel=1, start=10, value=0.93),
+        ],
+        ids=["dropout", "stuck"],
+    )
+    def test_failover_serves_the_precomputed_loo_model(self, fitted, fault):
         ds, model = fitted
         stream = _clean_stream(ds, model)
-        fault = DropoutFault(channel=1, start=10)
         fleet = FleetMonitor(
             model, 1e-6, n_streams=1, policy=_policy_for(stream)
         )
         fleet.run_batch(fault.apply(stream)[np.newaxis])
+        assert len(fleet.failures[0]) == 1
         col = int(fleet.sensor_cols[1])
+        fallback = model.fallback_models()[col]
         # Identity, not equality: the exact precomputed fallback object.
-        assert fleet.model_for(0) is model.fallback_models()[col]
+        assert fleet.model_for(0) is fallback
         assert fleet.degraded[0]
+        # ...served with exactly that fallback's compiled coefficients.
+        served = fleet.predictor_for(0)
+        expected = CompiledPredictor.from_model(
+            fallback, sensor_cols=fleet.sensor_cols
+        )
+        assert np.array_equal(served.coef_t, expected.coef_t)
+        assert np.array_equal(served.intercept, expected.intercept)
 
     def test_predictions_finite_under_every_mode(self, fitted):
         ds, model = fitted

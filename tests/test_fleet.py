@@ -1,5 +1,7 @@
 """Tests for the batched fleet serving core (repro.monitor.fleet)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,41 @@ class TestFleetVsSingleStream:
             assert mon.events == fleet.events[s]
             assert stats.alarm_cycles == fleet.stream_stats(s).alarm_cycles
             assert stats.min_predicted == fleet.stream_stats(s).min_predicted
+
+    def test_run_batch_matches_looped_monitors_5x_faster(self, fitted):
+        """At S = 16, one run_batch over the (S, T, Q) tensor equals S
+        looped single-stream monitors (flags, episodes, alarm cycles,
+        minimum prediction) and is at least 5x faster."""
+        ds, model = fitted
+        n_streams, n_cycles = 16, 400
+        thr = _alarm_threshold(model, ds, quantile=0.1)
+        streams = _streams(model, ds, n_streams, n_cycles, seed=11)
+        candidates = np.zeros((n_streams, n_cycles, model.n_inputs))
+        candidates[:, :, model.sensor_candidate_cols] = streams
+
+        t0 = time.perf_counter()
+        singles = [
+            VoltageMonitor(model, thr, debounce=3) for _ in range(n_streams)
+        ]
+        loop_flags = np.array(
+            [mon.run(c) for mon, c in zip(singles, candidates)]
+        )
+        loop_stats = [mon.finish() for mon in singles]
+        loop_s = time.perf_counter() - t0
+
+        fleet = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
+        t0 = time.perf_counter()
+        batch_flags = fleet.run_batch(streams)
+        batch_s = time.perf_counter() - t0
+        fleet.finish()
+
+        assert np.array_equal(loop_flags, batch_flags)
+        assert any(fleet.events)
+        for s, (mon, stats) in enumerate(zip(singles, loop_stats)):
+            assert mon.events == fleet.events[s]
+            assert stats.alarm_cycles == fleet.stream_stats(s).alarm_cycles
+            assert stats.min_predicted == fleet.stream_stats(s).min_predicted
+        assert loop_s / batch_s >= 5.0
 
     def test_run_batch_equals_step_loop_bitwise(self, fitted):
         ds, model = fitted

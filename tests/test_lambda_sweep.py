@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
 from repro.core.pipeline import PipelineConfig
+from repro.experiments.config import FAST_SETUP
+from repro.experiments.data_generation import generate_dataset
 from tests.conftest import make_synthetic_dataset
 
 
@@ -81,6 +83,28 @@ class TestSweepLambda:
                 f.model.sensor_candidate_cols.tolist()
                 == r.model.sensor_candidate_cols.tolist()
             )
+
+
+class TestSweepConvergence:
+    def test_every_scope_solve_converges_within_budget(self):
+        # Simulated fast-profile data, warm-started budgets 1-3: every
+        # scope's constrained solve converged and kept its norm sum
+        # inside the accepted band above the budget.
+        data = generate_dataset(FAST_SETUP)
+        points = sweep_lambda(
+            data.train,
+            [1.0, 2.0, 3.0],
+            base_config=PipelineConfig(budget=1.0),
+            rng=0,
+            warm_start=True,
+        )
+        for point in points:
+            rtol = point.model.config.rtol
+            for scope in point.model.scopes:
+                gl = scope.selection.gl_result
+                where = (point.budget, scope.core_index)
+                assert gl.converged, where
+                assert gl.norm_sum() <= gl.budget * (1.0 + rtol) + 1e-12, where
 
 
 class TestFitForSensorCount:

@@ -7,6 +7,8 @@ while never materializing the dense Gram in lazy mode.
 """
 
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,14 +29,44 @@ from tests.conftest import make_synthetic_dataset
 
 
 def _problem(seed=0, n=300, m=60, k=4, active=(3, 17, 42), noise=0.01):
+    """Standardized sparse problem; ``active`` lists the true groups or,
+    as an int, how many to draw at random."""
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, m))
     Z -= Z.mean(axis=0)
     Z /= np.linalg.norm(Z, axis=0)
+    if isinstance(active, int):
+        active = rng.choice(m, size=active, replace=False)
     coef = np.zeros((k, m))
     coef[:, list(active)] = rng.standard_normal((k, len(active)))
     G = Z @ coef.T + noise * rng.standard_normal((n, k))
     return Z, G
+
+
+def _uncaught_kkt(Z, G, result):
+    """Inactive groups whose exact dual residual norm exceeds the penalty
+    beyond solver noise: groups the screener dropped and its KKT
+    safeguard should have re-admitted."""
+    stats = SufficientStats.from_arrays(Z, G, lazy=True)
+    active = result.active_groups()
+    c_norms = np.linalg.norm(stats.dual_residual(result.coef, active), axis=1)
+    inactive = np.ones(c_norms.shape[0], dtype=bool)
+    inactive[active] = False
+    return int(np.sum(c_norms[inactive] > result.penalty * (1.0 + 1e-6)))
+
+
+def _warm_sweep(Z, G, screen):
+    """Warm-started constrained sweep that builds its own statistics
+    (lazy when screening), so a measurement around it sees the whole
+    path, Gram included."""
+    stats = SufficientStats.from_arrays(Z, G, lazy=screen)
+    screener = StrongRuleScreener(stats) if screen else None
+    warm = None
+    for budget in (0.5, 1.0, 2.0, 3.0):
+        res = group_lasso_constrained(
+            Z, G, budget, stats=stats, warm=warm, screen=screener
+        )
+        warm = WarmState(coef=res.coef.copy(), penalty=res.penalty)
 
 
 class TestLazyStats:
@@ -158,20 +190,26 @@ class TestScreenedConstrained:
 
     def test_sequential_screener_across_budgets(self):
         # The path-engine usage: one screener object rides the whole
-        # budget path together with the warm state.
-        Z, G = _problem()
-        scr = StrongRuleScreener(SufficientStats.from_arrays(Z, G, lazy=True))
-        warm = None
-        for budget in (0.5, 1.0, 2.0, 3.0):
-            plain = group_lasso_constrained(Z, G, budget, solver_tol=1e-9)
-            screened = group_lasso_constrained(
-                Z, G, budget, solver_tol=1e-9, screen=scr, warm=warm
+        # budget path together with the warm state.  The second input
+        # has 600 candidates and 8 true groups.
+        for Z, G in (_problem(), _problem(n=240, m=600, active=8)):
+            scr = StrongRuleScreener(
+                SufficientStats.from_arrays(Z, G, lazy=True)
             )
-            warm = WarmState(coef=screened.coef.copy(), penalty=screened.penalty)
-            np.testing.assert_array_equal(
-                plain.active_groups(), screened.active_groups()
-            )
-        assert scr.n_dropped > 0
+            warm = None
+            for budget in (0.5, 1.0, 2.0, 3.0):
+                plain = group_lasso_constrained(Z, G, budget, solver_tol=1e-9)
+                screened = group_lasso_constrained(
+                    Z, G, budget, solver_tol=1e-9, screen=scr, warm=warm
+                )
+                warm = WarmState(
+                    coef=screened.coef.copy(), penalty=screened.penalty
+                )
+                np.testing.assert_array_equal(
+                    plain.active_groups(), screened.active_groups()
+                )
+                assert _uncaught_kkt(Z, G, screened) == 0
+            assert scr.n_dropped > 0
 
     def test_slack_budget_returns_ols_with_lazy_stats(self):
         # A budget above the OLS norm sum short-circuits; the lazy
@@ -189,6 +227,31 @@ class TestScreenedConstrained:
         scr = StrongRuleScreener(SufficientStats.from_arrays(Z2, G2, lazy=True))
         with pytest.raises(ValueError, match="different problem"):
             group_lasso_constrained(Z, G, 1.0, screen=scr)
+
+
+class TestScreenedFootprint:
+    """What screening is for: the screened sweep never pays for the
+    dense M x M Gram, in memory or in time."""
+
+    def test_peak_memory_at_most_a_fifth_of_the_dense_gram(self):
+        Z, G = _problem(seed=1, n=240, m=20_000, active=8)
+        tracemalloc.start()
+        try:
+            _warm_sweep(Z, G, screen=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_gram = Z.shape[1] ** 2 * Z.itemsize  # 3,052 MB
+        assert peak <= dense_gram / 5
+
+    def test_faster_than_the_dense_sweep(self):
+        Z, G = _problem(n=240, m=600, active=8)
+        t0 = time.perf_counter()
+        _warm_sweep(Z, G, screen=False)
+        dense_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        _warm_sweep(Z, G, screen=True)
+        assert time.perf_counter() - t0 < dense_s
 
 
 class TestScreenedSelection:

@@ -30,7 +30,6 @@ import repro.serve.fleet as serve_fleet
 from repro.core import PipelineConfig, fit_placement
 from repro.core.serialization import load_placement, save_placement
 from repro.monitor import DropoutFault, FaultPolicy, FleetMonitor
-from repro.obs.benchjson import normalize_bench, validate_bench
 from repro.obs.manifest import build_manifest, shard_stats
 from repro.serve import IngestionFrontend, ShardedFleet
 from tests.conftest import make_synthetic_dataset
@@ -413,6 +412,39 @@ class TestWorkerSupervision:
             fleet.abort()
 
 
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4,
+    reason="four shards cannot outrun one on fewer than four CPUs",
+)
+class TestScaling:
+    def test_four_shards_serve_2_5x_one_shard(self, fitted):
+        """With a CPU per shard, 4 shards serve at least 2.5x the frames
+        of 1 shard per second.  Workers start at construction, outside
+        the timed window."""
+        ds, model = fitted
+        threshold = _alarm_threshold(model, ds, quantile=0.1)
+        frames = _streams(model, ds, n_streams=16, n_cycles=384, seed=23)
+        wall_s = {}
+        for n_shards in (1, 4):
+            fleet = ShardedFleet(
+                model,
+                threshold,
+                n_streams=16,
+                n_shards=n_shards,
+                debounce=3,
+                slot_ticks=32,
+                ring_slots=8,
+            )
+            try:
+                t0 = time.perf_counter()
+                fleet.run_frames(frames)
+                wall_s[n_shards] = time.perf_counter() - t0
+                fleet.finish()
+            except BaseException:
+                fleet.abort()
+                raise
+        assert wall_s[1] / wall_s[4] >= 2.5
+
 def _fleet_handles(fleet):
     """Worker pids and slot-block names of a live fleet."""
     return (
@@ -759,57 +791,3 @@ class TestServeObservability:
             assert "snapshot" in entry
         # shard_stats only collects shard-labelled worker events.
         assert shard_stats(registry) == shards
-
-    def test_benchjson_serve_mode_validates_and_normalizes(self):
-        doc = {
-            "schema": "repro.bench/v1",
-            "mode": "serve",
-            "cpu_count": 1,
-            "bit_identical": True,
-            "reference": {"run_batch_s": 0.5, "streams_per_s": 128.0},
-            "transport": {
-                "queue_pickle_s": 0.2, "fleet_s": 0.1, "speedup": 2.0,
-            },
-            "points": [
-                {
-                    "shards": 1,
-                    "streams_per_s": 100.0,
-                    "frames_per_s": 3200.0,
-                    "speedup_vs_1shard": 1.0,
-                    "p50_ms": 2.0,
-                    "p99_ms": 3.0,
-                    "slots": 10,
-                },
-                {
-                    "shards": 2,
-                    "streams_per_s": 180.0,
-                    "frames_per_s": 5760.0,
-                    "speedup_vs_1shard": 1.8,
-                    "p50_ms": 1.5,
-                    "p99_ms": 2.5,
-                    "slots": 10,
-                },
-            ],
-            "hot_swap": {"dropped_frames": 0, "divergent_cycles": 0},
-            "counters": {"serve.slots": 20},
-            "problems": [],
-        }
-        assert validate_bench(doc) == []
-        flat = normalize_bench(doc)
-        assert flat["mode"] == "serve"
-        assert flat["counters"]["serve.slots"] == 20
-        assert flat["scalars"]["bit_identical"] == 1.0
-        assert flat["scalars"]["speedup_vs_1shard[shards=2]"] == 1.8
-        assert flat["scalars"]["dropped_frames"] == 0.0
-        # Latencies become timer summaries so the report CLI's p99
-        # latency gate applies to them.
-        timer = flat["timers"]["serve.e2e[shards=2]"]
-        assert timer["p50_s"] == pytest.approx(1.5e-3)
-        assert timer["p99_s"] == pytest.approx(2.5e-3)
-        assert timer["count"] == 10
-
-    def test_benchjson_serve_missing_fields_flagged(self):
-        doc = {"schema": "repro.bench/v1", "mode": "serve"}
-        problems = validate_bench(doc)
-        for field in ("cpu_count", "points", "hot_swap", "bit_identical"):
-            assert any(field in p for p in problems)

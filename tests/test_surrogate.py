@@ -290,26 +290,13 @@ def run_bench():
 #: One minimal structurally-valid report per bench mode.  Adding a mode
 #: to MODES without a stub here fails the exhaustiveness assertion.
 _MODE_STUBS = {
-    "sweep": {
-        "budgets": [1.0], "engine_s": 0.1, "counters": {},
-        "engine_points": [],
-    },
     "datagen": {
         "reference_s": 1.0, "optimized_s": 0.5, "speedup": 2.0,
         "equality": {}, "counters": {}, "problems": [],
     },
-    "monitor": {
-        "loop_s": 1.0, "batch_s": 0.1, "speedup": 10.0,
-        "identity": {}, "failover": {}, "problems": [],
-    },
-    "screen": {"compare": {}, "large": {}, "counters": {}, "problems": []},
     "tournament": {
         "budget": 1.0, "placers": [], "scenarios": {}, "entries": [],
         "problems": [],
-    },
-    "serve": {
-        "cpu_count": 1, "reference": {}, "points": [], "hot_swap": {},
-        "bit_identical": True, "counters": {}, "problems": [],
     },
     "surrogate": {
         "throughput": {}, "recall": {}, "counters": {}, "problems": [],
@@ -330,6 +317,10 @@ class TestEmitBench:
         written = json.loads(out.read_text())
         assert written["mode"] == mode
         assert written["schema"] == "repro.bench/v1"
+        for field in (
+            "git_sha", "numpy", "blas_threads", "cpu_count", "uses_kernel",
+        ):
+            assert field in written["provenance"]
 
     def test_invalid_report_refused(self, run_bench):
         report = {"mode": "surrogate"}  # missing required fields
@@ -338,14 +329,8 @@ class TestEmitBench:
 
     def test_problems_drive_exit_code(self, run_bench):
         report = {"mode": "surrogate", **_MODE_STUBS["surrogate"]}
-        problems = [{"kind": "guard_bound_violation"}]
-        assert run_bench.emit_bench(dict(report), problems=problems) == 1
-        assert (
-            run_bench.emit_bench(
-                dict(report), problems=problems, fail_on_problems=False
-            )
-            == 0
-        )
+        report["problems"] = [{"kind": "guard_bound_violation"}]
+        assert run_bench.emit_bench(report) == 1
 
     def test_validates_even_without_out(self, run_bench):
         report = {"mode": "surrogate", **_MODE_STUBS["surrogate"]}
