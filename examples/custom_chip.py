@@ -101,8 +101,8 @@ def main() -> None:
     names = ["streamcluster", "lu"]
     for i, name in enumerate(names):
         traces = generate_activity(floorplan, get_benchmark(name), 400, rng=100 + i)
-        mapper.bind(power_model.block_power(traces))
-        result = solver.simulate(mapper, n_steps=350, warmup_steps=50)
+        load = mapper.bound(power_model.block_power(traces))
+        result = solver.simulate(load, n_steps=350, warmup_steps=50)
         volts.append(result.voltages.astype(np.float32))
         labels.append(np.full(result.voltages.shape[0], i))
     maps = VoltageMapSet(

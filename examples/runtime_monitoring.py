@@ -28,7 +28,7 @@ from urllib.request import urlopen
 import numpy as np
 
 import repro.obs as obs
-from repro.baselines import fit_eagle_eye
+from repro.baselines import EagleEyeModel, PlacementConstraints, get_placer
 from repro.core import PipelineConfig, fit_placement
 from repro.experiments import FAST_SETUP, generate_dataset, simulate_benchmark_trace
 from repro.monitor import FaultPolicy, FleetMonitor, StuckAtFault
@@ -41,10 +41,12 @@ def main() -> None:
 
     # Design time: fit both monitoring systems on the training maps.
     model = fit_placement(data.train, PipelineConfig(budget=1.0))
-    eagle = fit_eagle_eye(
-        data.train, n_sensors=max(1, model.n_sensors // len(model.scopes)),
-        threshold=threshold,
+    placement = get_placer("eagle_eye").place(
+        data.train,
+        max(1, model.n_sensors // len(model.scopes)),
+        constraints=PlacementConstraints(emergency_threshold=threshold),
     )
+    eagle = EagleEyeModel(placement.selected_cols, threshold)
     print(
         f"proposed: {model.n_sensors} sensors | "
         f"eagle-eye: {eagle.n_sensors} sensors | "

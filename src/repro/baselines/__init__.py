@@ -1,14 +1,17 @@
 """Sensor-placement algorithms behind the unified :class:`Placer` protocol.
 
-The six legacy baselines (Eagle-Eye, worst-noise, random,
+The six classic baselines (Eagle-Eye, worst-noise, random,
 OLS-magnitude, greedy-correlation, plain lasso), the paper's group
 lasso, and the modern competitors (QR pivoting, FrameSense
 frame-potential minimization, failure-robust greedy) all implement
-:class:`~repro.baselines.placer.Placer` and register themselves here;
-enumerate them with :func:`available_placers` or race them with
-:func:`~repro.experiments.tournament.run_tournament`.  The legacy
-``fit_*`` / ``*_selection`` functions remain as thin computational
-kernels with unchanged behaviour.
+:class:`~repro.baselines.placer.Placer` and register themselves here.
+Every caller places through the registry —
+``get_placer(name).place(dataset, budget, constraints)`` — enumerates
+it with :func:`available_placers`, or races it with
+:func:`~repro.experiments.tournament.run_tournament`.  Each module's
+ranking kernel (``worst_noise_ranking``, ``greedy_coverage_order``,
+...) stays public, as does :class:`EagleEyeModel`, the Eagle-Eye
+runtime detector over a placement.
 """
 
 from repro.baselines.classic import (
@@ -19,27 +22,14 @@ from repro.baselines.classic import (
     RandomPlacer,
     WorstNoisePlacer,
 )
-from repro.baselines.correlation_greedy import (
-    fit_correlation_greedy,
-    greedy_correlation_order,
-    greedy_correlation_selection,
-)
-from repro.baselines.eagle_eye import (
-    EagleEyeModel,
-    fit_eagle_eye,
-    greedy_coverage_order,
-    greedy_coverage_selection,
-)
+from repro.baselines.correlation_greedy import greedy_correlation_order
+from repro.baselines.eagle_eye import EagleEyeModel, greedy_coverage_order
 from repro.baselines.frame_potential import (
     FramePotentialPlacer,
     frame_potential_ranking,
 )
 from repro.baselines.group_lasso_placer import GroupLassoPlacer
-from repro.baselines.ols_magnitude import (
-    fit_ols_magnitude,
-    ols_magnitude_ranking,
-    ols_magnitude_selection,
-)
+from repro.baselines.ols_magnitude import ols_magnitude_ranking
 from repro.baselines.placer import (
     Placement,
     PlacementConstraints,
@@ -53,16 +43,11 @@ from repro.baselines.plain_lasso import (
     PlainLassoResult,
     lasso_magnitude_ranking,
     lasso_penalized,
-    lasso_select_sensors,
 )
 from repro.baselines.qr_pivot import QRPivotPlacer, qr_pivot_ranking
-from repro.baselines.random_placement import fit_random, random_selection
+from repro.baselines.random_placement import random_selection
 from repro.baselines.robust import RobustPlacer, robust_greedy_order
-from repro.baselines.worst_noise import (
-    fit_worst_noise,
-    worst_noise_ranking,
-    worst_noise_selection,
-)
+from repro.baselines.worst_noise import worst_noise_ranking
 
 __all__ = [
     # protocol
@@ -84,26 +69,16 @@ __all__ = [
     "QRPivotPlacer",
     "FramePotentialPlacer",
     "RobustPlacer",
-    # legacy kernels
-    "fit_correlation_greedy",
-    "greedy_correlation_order",
-    "greedy_correlation_selection",
+    # detector and ranking kernels
     "EagleEyeModel",
-    "fit_eagle_eye",
+    "greedy_correlation_order",
     "greedy_coverage_order",
-    "greedy_coverage_selection",
-    "fit_ols_magnitude",
     "ols_magnitude_ranking",
-    "ols_magnitude_selection",
     "PlainLassoResult",
     "lasso_magnitude_ranking",
     "lasso_penalized",
-    "lasso_select_sensors",
-    "fit_random",
     "random_selection",
-    "fit_worst_noise",
     "worst_noise_ranking",
-    "worst_noise_selection",
     "frame_potential_ranking",
     "qr_pivot_ranking",
     "robust_greedy_order",

@@ -1,27 +1,22 @@
-"""The six legacy baselines re-homed as :class:`Placer` implementations.
+"""The six classic baselines as :class:`Placer` implementations.
 
 Each class wraps the corresponding module's ranking kernel; the shared
 base handles scope iteration, budgets, spacing, and tie-break policy.
-Selections are identical to the legacy ``fit_*`` functions (pinned by
-``tests/test_placers.py``): the wrappers call the exact same kernels
-on the exact same per-scope slices, and the random placer threads one
-generator through the scopes in the same order as ``fit_random``.
+Their selections on a fixed synthetic dataset are pinned in
+``tests/test_placers.py``.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from repro.baselines.correlation_greedy import greedy_correlation_order
 from repro.baselines.eagle_eye import greedy_coverage_order
 from repro.baselines.ols_magnitude import ols_magnitude_ranking
-from repro.baselines.placer import Placer, ScopeContext, register_placer
+from repro.baselines.placer import Placer, register_placer
 from repro.baselines.plain_lasso import lasso_magnitude_ranking
 from repro.baselines.random_placement import random_selection
 from repro.baselines.worst_noise import worst_noise_ranking
-from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "WorstNoisePlacer",
@@ -31,6 +26,9 @@ __all__ = [
     "EagleEyePlacer",
     "PlainLassoPlacer",
 ]
+
+#: Element-wise L1 weight at which ``plain_lasso`` ranks candidates.
+PLAIN_LASSO_MU = 1e-3
 
 
 @register_placer
@@ -47,10 +45,10 @@ class WorstNoisePlacer(Placer):
 class RandomPlacer(Placer):
     """Uniform random placement — the null baseline.
 
-    Matches ``fit_random``'s stream exactly in the no-spacing case
-    (same :func:`random_selection` draws, one generator threaded
-    through the scopes); under spacing it draws a full random
-    permutation per scope so rejected candidates refill randomly.
+    Without spacing each scope takes one :func:`random_selection` draw
+    from the generator threaded through the scopes; under spacing it
+    draws a full random permutation per scope so rejected candidates
+    refill randomly.
     """
 
     name = "random"
@@ -87,26 +85,19 @@ class CorrelationGreedyPlacer(Placer):
 class EagleEyePlacer(Placer):
     """Eagle-Eye greedy max-coverage placement (the paper's comparator).
 
-    Needs an emergency threshold: either pass one to the constructor
-    or set ``emergency_threshold`` on the constraints (the tournament
-    uses the chip's configured threshold).
+    Needs ``PlacementConstraints.emergency_threshold``: the scope's
+    emergencies are the training samples with any block below it.
+    Build the runtime detector from the placement with
+    ``EagleEyeModel(placement.selected_cols, threshold)``.
     """
 
     name = "eagle_eye"
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        if threshold is not None:
-            check_positive(threshold, "threshold")
-        self.threshold = threshold
-
     def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        threshold = self.threshold
-        if threshold is None:
-            threshold = ctx.constraints.emergency_threshold
+        threshold = ctx.constraints.emergency_threshold
         if threshold is None:
             raise ValueError(
-                "eagle_eye needs an emergency threshold: construct with "
-                "EagleEyePlacer(threshold=...) or set "
+                "eagle_eye needs an emergency threshold: set "
                 "PlacementConstraints(emergency_threshold=...)"
             )
         emergency = np.any(F < threshold, axis=1)
@@ -119,16 +110,11 @@ class EagleEyePlacer(Placer):
 class PlainLassoPlacer(Placer):
     """Element-wise (ungrouped) lasso — the grouping ablation.
 
-    Ranks candidates by their largest surviving coefficient at ``mu``;
-    the top-budget prefix reproduces ``lasso_select_sensors`` whenever
-    that selection has exactly ``budget`` survivors.
+    Ranks candidates by their largest surviving coefficient at the
+    element-wise penalty :data:`PLAIN_LASSO_MU`.
     """
 
     name = "plain_lasso"
 
-    def __init__(self, mu: float = 1e-3) -> None:
-        check_non_negative(mu, "mu")
-        self.mu = mu
-
     def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return lasso_magnitude_ranking(X, F, self.mu)[:n_rank]
+        return lasso_magnitude_ranking(X, F, PLAIN_LASSO_MU)[:n_rank]

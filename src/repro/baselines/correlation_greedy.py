@@ -16,14 +16,9 @@ from typing import List
 import numpy as np
 
 from repro.core.normalization import Standardizer
-from repro.voltage.dataset import VoltageDataset
 from repro.utils.validation import check_integer, check_matrix
 
-__all__ = [
-    "greedy_correlation_order",
-    "greedy_correlation_selection",
-    "fit_correlation_greedy",
-]
+__all__ = ["greedy_correlation_order"]
 
 
 def greedy_correlation_order(
@@ -77,65 +72,3 @@ def greedy_correlation_order(
         coef, *_ = np.linalg.lstsq(Zs, G, rcond=None)
         residual = G - Zs @ coef
     return np.asarray(selected, dtype=np.int64)
-
-
-def greedy_correlation_selection(
-    X: np.ndarray, F: np.ndarray, n_sensors: int
-) -> np.ndarray:
-    """Multi-response group-OMP over candidate columns.
-
-    The sorted form of :func:`greedy_correlation_order`.
-
-    Parameters
-    ----------
-    X:
-        ``(N, M)`` raw candidate voltages.
-    F:
-        ``(N, K)`` raw critical-node voltages.
-    n_sensors:
-        Number of sensors to pick (Q).
-
-    Returns
-    -------
-    np.ndarray
-        Selected column indices, sorted.
-    """
-    return np.sort(greedy_correlation_order(X, F, n_sensors))
-
-
-def fit_correlation_greedy(
-    dataset: VoltageDataset, n_sensors: int, per_core: bool = True
-) -> np.ndarray:
-    """Greedy-correlation placement over a dataset.
-
-    Parameters
-    ----------
-    dataset:
-        Training data.
-    n_sensors:
-        Sensors per core (per-core mode) or total (global mode).
-    per_core:
-        Select within each core's candidates against that core's
-        blocks.
-
-    Returns
-    -------
-    np.ndarray
-        Selected candidate columns in dataset X indexing, sorted.
-    """
-    if not per_core:
-        return greedy_correlation_selection(dataset.X, dataset.F, n_sensors)
-    cols: List[np.ndarray] = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(f"core {core} has no sensor candidates")
-        local = greedy_correlation_selection(
-            dataset.X[:, candidate_cols], dataset.F[:, block_cols], n_sensors
-        )
-        cols.append(candidate_cols[local])
-    if not cols:
-        raise ValueError("dataset has no cores with blocks")
-    return np.sort(np.concatenate(cols))

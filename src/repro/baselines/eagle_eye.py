@@ -16,29 +16,27 @@ the decision procedure the paper describes and compares against:
   Eagle-Eye's objective), with ties broken toward the worst-noise
   candidate;
 * runtime alarm = any selected sensor measuring below the threshold.
+
+Place with ``get_placer("eagle_eye")`` (threshold from
+``PlacementConstraints.emergency_threshold``) and detect with
+:class:`EagleEyeModel` built from the placement's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.voltage.dataset import VoltageDataset
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = [
-    "EagleEyeModel",
-    "fit_eagle_eye",
-    "greedy_coverage_order",
-    "greedy_coverage_selection",
-]
+__all__ = ["EagleEyeModel", "greedy_coverage_order"]
 
 
 @dataclass
 class EagleEyeModel:
-    """A fitted Eagle-Eye placement.
+    """The Eagle-Eye runtime detector over a placement.
 
     Attributes
     ----------
@@ -46,14 +44,10 @@ class EagleEyeModel:
         Selected candidate columns (dataset X indexing), sorted.
     threshold:
         Emergency threshold in volts used for alarms.
-    per_core_cols:
-        Selected columns grouped per core (parallel bookkeeping for
-        placement maps); ``None`` for global fits.
     """
 
     selected_cols: np.ndarray
     threshold: float
-    per_core_cols: Optional[dict] = None
 
     def __post_init__(self) -> None:
         self.selected_cols = np.asarray(self.selected_cols, dtype=np.int64)
@@ -200,88 +194,3 @@ def greedy_coverage_order(
         uncovered &= ~detects[:, choice]
 
     return np.asarray(selected, dtype=np.int64)
-
-
-def greedy_coverage_selection(
-    X: np.ndarray,
-    emergency: np.ndarray,
-    n_sensors: int,
-    threshold: float,
-) -> np.ndarray:
-    """Greedy max-coverage core of the Eagle-Eye placement.
-
-    The sorted form of :func:`greedy_coverage_order`.
-
-    Parameters
-    ----------
-    X:
-        ``(N, M)`` candidate voltages.
-    emergency:
-        ``(N,)`` ground-truth "FA emergency exists" flags.
-    n_sensors:
-        Sensors to select (Q).
-    threshold:
-        Alarm threshold in volts.
-
-    Returns
-    -------
-    np.ndarray
-        Selected column indices, sorted.  When fewer than ``n_sensors``
-        candidates add any coverage, the remainder is filled with the
-        worst-noise unselected candidates.
-    """
-    return np.sort(greedy_coverage_order(X, emergency, n_sensors, threshold))
-
-
-def fit_eagle_eye(
-    dataset: VoltageDataset,
-    n_sensors: int,
-    threshold: float,
-    per_core: bool = True,
-) -> EagleEyeModel:
-    """Fit an Eagle-Eye placement on a training dataset.
-
-    Parameters
-    ----------
-    dataset:
-        Training data (candidate voltages X, critical voltages F).
-    n_sensors:
-        Sensors per core in per-core mode (matching the paper's
-        "2 sensors per core" Table 2 setup), or total sensors in global
-        mode.
-    threshold:
-        Emergency threshold in volts.
-    per_core:
-        Select per core against the core's own blocks' emergencies
-        (default, matching the paper's comparison) or globally.
-    """
-    check_integer(n_sensors, "n_sensors", minimum=1)
-    check_positive(threshold, "threshold")
-
-    if not per_core:
-        emergency = np.any(dataset.F < threshold, axis=1)
-        cols = greedy_coverage_selection(dataset.X, emergency, n_sensors, threshold)
-        return EagleEyeModel(selected_cols=cols, threshold=threshold)
-
-    per_core_cols = {}
-    all_cols: List[np.ndarray] = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(f"core {core} has no sensor candidates")
-        emergency = np.any(dataset.F[:, block_cols] < threshold, axis=1)
-        local = greedy_coverage_selection(
-            dataset.X[:, candidate_cols], emergency, n_sensors, threshold
-        )
-        cols = candidate_cols[local]
-        per_core_cols[core] = cols
-        all_cols.append(cols)
-    if not all_cols:
-        raise ValueError("dataset has no cores with blocks")
-    return EagleEyeModel(
-        selected_cols=np.sort(np.concatenate(all_cols)),
-        threshold=threshold,
-        per_core_cols=per_core_cols,
-    )

@@ -44,8 +44,9 @@ def frame_potential_ranking(X: np.ndarray) -> np.ndarray:
     -------
     np.ndarray
         ``(M,)`` candidate indices, best (last eliminated) first.  The
-        top-q prefix is FrameSense's budget-q selection.  Elimination
-        ties go to the lower candidate index.
+        top-q prefix is FrameSense's budget-q selection.  Of candidates
+        tied on the FP decrease, the highest index is eliminated first,
+        so exact ties rank toward the lower candidate index.
     """
     X = check_matrix(X, "X")
     Z = Standardizer().fit_transform(X)
@@ -64,7 +65,9 @@ def frame_potential_ranking(X: np.ndarray) -> np.ndarray:
         # FP decrease from removing k: off-diagonal terms count twice.
         decrease = 2.0 * rowsum - diag
         decrease[~alive] = -np.inf
-        k = int(np.argmax(decrease))  # first max -> lowest index on ties
+        # Last maximum: the higher index of a tie goes first, so the
+        # lower one survives longer and ranks ahead of it.
+        k = n_candidates - 1 - int(np.argmax(decrease[::-1]))
         removal[step] = k
         alive[k] = False
         rowsum -= G2[:, k]

@@ -15,29 +15,20 @@ Guyon & Elisseeff (2003) for.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.core.normalization import Standardizer
-from repro.voltage.dataset import VoltageDataset
-from repro.utils.validation import check_integer, check_matrix
+from repro.utils.validation import check_matrix
 
-__all__ = [
-    "ols_magnitude_ranking",
-    "ols_magnitude_selection",
-    "fit_ols_magnitude",
-]
+__all__ = ["ols_magnitude_ranking"]
 
 
 def ols_magnitude_ranking(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     """All candidates ranked by descending OLS coefficient magnitude.
 
     Equal magnitudes are broken toward the lower candidate index
-    (stable sort on the negated key).  The pre-protocol implementation
-    reversed an ascending argsort, so ties went to the *highest* index
-    — one of the tie-break inconsistencies the :class:`Placer` refactor
-    unified (see :mod:`repro.baselines.placer`).
+    (stable sort on the negated key) — the library-wide tie-break
+    policy (:mod:`repro.baselines.placer`).
 
     Parameters
     ----------
@@ -58,71 +49,3 @@ def ols_magnitude_ranking(X: np.ndarray, F: np.ndarray) -> np.ndarray:
     coef, *_ = np.linalg.lstsq(z, g, rcond=None)  # (M, K)
     magnitudes = np.linalg.norm(coef, axis=1)
     return np.argsort(-magnitudes, kind="stable").astype(np.int64)
-
-
-def ols_magnitude_selection(
-    X: np.ndarray, F: np.ndarray, n_sensors: int
-) -> np.ndarray:
-    """Rank candidates by unconstrained-OLS coefficient magnitude.
-
-    Parameters
-    ----------
-    X:
-        ``(N, M)`` raw candidate voltages.
-    F:
-        ``(N, K)`` raw critical-node voltages.
-    n_sensors:
-        Candidates to keep (Q).
-
-    Returns
-    -------
-    np.ndarray
-        The Q columns with the largest ``||alpha_m||_2`` in the full
-        OLS fit on normalized data, sorted.
-    """
-    X = check_matrix(X, "X")
-    F = check_matrix(F, "F", n_rows=X.shape[0])
-    check_integer(n_sensors, "n_sensors", minimum=1)
-    if n_sensors > X.shape[1]:
-        raise ValueError(
-            f"cannot select {n_sensors} sensors from {X.shape[1]} candidates"
-        )
-    return np.sort(ols_magnitude_ranking(X, F)[:n_sensors])
-
-
-def fit_ols_magnitude(
-    dataset: VoltageDataset, n_sensors: int, per_core: bool = True
-) -> np.ndarray:
-    """OLS-magnitude placement over a dataset.
-
-    Parameters
-    ----------
-    dataset:
-        Training data.
-    n_sensors:
-        Sensors per core (per-core mode) or total (global mode).
-    per_core:
-        Select within each core's candidates against that core's
-        blocks.
-
-    Returns
-    -------
-    np.ndarray
-        Selected candidate columns in dataset X indexing, sorted.
-    """
-    if not per_core:
-        return ols_magnitude_selection(dataset.X, dataset.F, n_sensors)
-    cols: List[np.ndarray] = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(f"core {core} has no sensor candidates")
-        local = ols_magnitude_selection(
-            dataset.X[:, candidate_cols], dataset.F[:, block_cols], n_sensors
-        )
-        cols.append(candidate_cols[local])
-    if not cols:
-        raise ValueError("dataset has no cores with blocks")
-    return np.sort(np.concatenate(cols))

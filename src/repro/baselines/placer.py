@@ -15,10 +15,10 @@ The contract (pinned by ``tests/test_placer_properties.py``):
   mode, total in global mode), sorted ascending.
 * **Tie-break policy**: candidates with equal scores are ordered by
   ascending candidate index (all rankings use stable sorts /
-  first-winner argmax).  The legacy modules disagreed on this —
-  ``ols_magnitude`` reversed an argsort (highest index won) and
-  ``worst_noise`` used an unstable quicksort; both now route through
-  stable rankings.
+  first-winner argmax; ``frame_potential`` eliminates the *last*
+  maximum, so the lower index survives longer and ranks first).  The
+  one exception is ``qr_pivot``, which follows LAPACK's pivot order:
+  its column swaps can put a higher index first among exact ties.
 * **Spacing policy**: ``min_spacing`` is enforced *globally* across
   scopes in selection order — a candidate is kept iff it clears every
   sensor already placed anywhere on the chip (the
@@ -26,25 +26,25 @@ The contract (pinned by ``tests/test_placer_properties.py``):
   Rankings are extended over the full candidate pool so rejected
   candidates are refilled from the next-best ones; if the budget is
   unreachable under the spacing, ``place`` raises :class:`ValueError`
-  instead of silently under-placing.  The legacy modules either
-  ignored spacing or filtered post hoc without refilling.
+  instead of silently under-placing.
 * **Determinism**: given the same dataset, budget, and constraints
   (including ``seed``), ``place`` returns the same placement.
-  Stochastic placers thread one generator sequentially through the
-  scopes, matching the legacy ``fit_random`` stream.
+  Stochastic placers (``uses_rng``) thread one generator sequentially
+  through the scopes.
 
-Capability flags (``supports_warm_start``, ``supports_screening``,
-``uses_rng``) let drivers such as the tournament pick solver features
-per placer.  Implementations register themselves in a process-global
-registry (:func:`register_placer`) so test suites and tournaments can
-enumerate every available algorithm (:func:`available_placers`).
+Placers take no constructor arguments: everything a caller can set
+lives on :class:`PlacementConstraints`.  Implementations register
+themselves in a process-global registry (:func:`register_placer`) so
+experiments, test suites and tournaments place through
+:func:`get_placer` and can enumerate every available algorithm
+(:func:`available_placers`).
 """
 
 from __future__ import annotations
 
 import abc
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -192,17 +192,12 @@ class Placer(abc.ABC):
     ----------------
     name:
         Registry name (``register_placer`` keys on it).
-    supports_warm_start / supports_screening:
-        Whether the underlying solver can reuse warm starts / strong-
-        rule screening (only the group-lasso placer does).
     uses_rng:
         Whether the placer consumes ``constraints.seed``; deterministic
         placers receive ``rng=None``.
     """
 
     name: str = "abstract"
-    supports_warm_start: bool = False
-    supports_screening: bool = False
     uses_rng: bool = False
 
     @abc.abstractmethod
@@ -246,7 +241,6 @@ class Placer(abc.ABC):
         self,
         dataset: VoltageDataset,
         budget: int,
-        spacing: Optional[float] = None,
         constraints: Optional[PlacementConstraints] = None,
     ) -> Placement:
         """Place ``budget`` sensors per scope on ``dataset``.
@@ -257,9 +251,6 @@ class Placer(abc.ABC):
             Training data (candidate voltages X, critical voltages F).
         budget:
             Sensors per core (per-core mode) or total (global mode).
-        spacing:
-            Shorthand for ``constraints.min_spacing``; requires
-            candidate ``positions`` on the constraints.
         constraints:
             Placement constraints; defaults to per-core, no spacing,
             seed 0.
@@ -273,8 +264,6 @@ class Placer(abc.ABC):
         check_integer(budget, "budget", minimum=1)
         if constraints is None:
             constraints = PlacementConstraints()
-        if spacing is not None:
-            constraints = replace(constraints, min_spacing=float(spacing))
 
         registry = get_registry()
         t0 = _time.perf_counter() if registry.enabled else 0.0
@@ -296,7 +285,9 @@ class Placer(abc.ABC):
             )
 
         rng = make_rng(constraints.seed) if self.uses_rng else None
-        scopes = self._scopes(dataset, constraints)
+        scopes = dataset.scopes(constraints.per_core)
+        if not scopes:
+            raise ValueError("dataset has no blocks to place sensors for")
 
         kept_pos: List[np.ndarray] = []
         min_sq = float(min_spacing) ** 2 if min_spacing is not None else 0.0
@@ -394,37 +385,6 @@ class Placer(abc.ABC):
             meta=meta,
         )
 
-    @staticmethod
-    def _scopes(
-        dataset: VoltageDataset, constraints: PlacementConstraints
-    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """``(core_index, candidate_cols, block_cols)`` per fit scope.
-
-        Matches the legacy ``fit_*`` iteration exactly: per-core mode
-        visits ``dataset.core_ids`` in order, skips cores without
-        blocks, and errors on cores with blocks but no candidates; the
-        global scope is ``core_index = -1`` over everything.
-        """
-        if not constraints.per_core:
-            return [
-                (
-                    -1,
-                    np.arange(dataset.n_candidates, dtype=np.int64),
-                    np.arange(dataset.n_blocks, dtype=np.int64),
-                )
-            ]
-        specs: List[Tuple[int, np.ndarray, np.ndarray]] = []
-        for core in dataset.core_ids:
-            candidate_cols, block_cols = dataset.core_view(core)
-            if block_cols.size == 0:
-                continue
-            if candidate_cols.size == 0:
-                raise ValueError(f"core {core} has no sensor candidates")
-            specs.append((int(core), candidate_cols, block_cols))
-        if not specs:
-            raise ValueError("dataset has no cores with blocks")
-        return specs
-
     def _check_ranking(
         self, order: np.ndarray, pool: int, n_rank: int, where: str
     ) -> None:
@@ -473,8 +433,8 @@ def register_placer(cls: Type[Placer]) -> Type[Placer]:
     return cls
 
 
-def get_placer(name: str, **kwargs: Any) -> Placer:
-    """Instantiate the registered placer ``name`` with ``kwargs``."""
+def get_placer(name: str) -> Placer:
+    """Instantiate the registered placer ``name``."""
     try:
         cls = _PLACERS[name]
     except KeyError:
@@ -482,7 +442,7 @@ def get_placer(name: str, **kwargs: Any) -> Placer:
             f"unknown placer {name!r}; available: "
             f"{', '.join(available_placers())}"
         ) from None
-    return cls(**kwargs)
+    return cls()
 
 
 def available_placers() -> Tuple[str, ...]:

@@ -24,7 +24,6 @@ __all__ = [
     "PlainLassoResult",
     "lasso_magnitude_ranking",
     "lasso_penalized",
-    "lasso_select_sensors",
 ]
 
 
@@ -133,36 +132,6 @@ def lasso_penalized(
     return PlainLassoResult(coef=B, penalty=mu, n_iterations=sweeps, converged=converged)
 
 
-def lasso_select_sensors(
-    X: np.ndarray,
-    F: np.ndarray,
-    mu: float,
-    threshold: float = 1e-3,
-) -> np.ndarray:
-    """Select sensors via plain lasso: columns with any surviving entry.
-
-    Parameters
-    ----------
-    X, F:
-        Raw data matrices (normalized internally).
-    mu:
-        L1 penalty weight.
-    threshold:
-        Coefficient-magnitude floor for counting a column as used.
-
-    Returns
-    -------
-    np.ndarray
-        Selected column indices, sorted.
-    """
-    X = check_matrix(X, "X")
-    F = check_matrix(F, "F", n_rows=X.shape[0])
-    z = Standardizer().fit_transform(X)
-    g = Standardizer().fit_transform(F)
-    result = lasso_penalized(z, g, mu)
-    return result.sensors_used(threshold)
-
-
 def lasso_magnitude_ranking(
     X: np.ndarray, F: np.ndarray, mu: float
 ) -> np.ndarray:
@@ -170,10 +139,7 @@ def lasso_magnitude_ranking(
 
     Solves the element-wise lasso at ``mu`` and orders columns by their
     largest absolute coefficient (stable sort: magnitude ties go to the
-    lower candidate index).  The top-q prefix equals
-    :func:`lasso_select_sensors` whenever that selection has exactly q
-    survivors, because survivors have magnitude above the selection
-    threshold and everything else sits at or below it.
+    lower candidate index).
 
     Parameters
     ----------

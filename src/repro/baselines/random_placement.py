@@ -6,15 +6,12 @@ into the blank area; this module provides that control.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.voltage.dataset import VoltageDataset
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.validation import check_integer
 
-__all__ = ["random_selection", "fit_random"]
+__all__ = ["random_selection"]
 
 
 def random_selection(
@@ -39,44 +36,3 @@ def random_selection(
         )
     rng = make_rng(rng)
     return np.sort(rng.choice(n_candidates, size=n_sensors, replace=False))
-
-
-def fit_random(
-    dataset: VoltageDataset,
-    n_sensors: int,
-    per_core: bool = True,
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Random placement over a dataset (per core or global).
-
-    Parameters
-    ----------
-    dataset:
-        Training data (only its candidate bookkeeping is used).
-    n_sensors:
-        Sensors per core (per-core mode) or total (global mode).
-    per_core:
-        Draw within each core's candidates separately.
-    rng:
-        Seed or generator.
-
-    Returns
-    -------
-    np.ndarray
-        Selected candidate columns in dataset X indexing, sorted.
-    """
-    rng = make_rng(rng)
-    if not per_core:
-        return random_selection(dataset.n_candidates, n_sensors, rng)
-    cols: List[np.ndarray] = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(f"core {core} has no sensor candidates")
-        local = random_selection(candidate_cols.shape[0], n_sensors, rng)
-        cols.append(candidate_cols[local])
-    if not cols:
-        raise ValueError("dataset has no cores with blocks")
-    return np.sort(np.concatenate(cols))

@@ -8,14 +8,9 @@ reproduction.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.voltage.dataset import VoltageDataset
-from repro.utils.validation import check_integer
-
-__all__ = ["worst_noise_ranking", "worst_noise_selection", "fit_worst_noise"]
+__all__ = ["worst_noise_ranking"]
 
 
 def worst_noise_ranking(X: np.ndarray) -> np.ndarray:
@@ -40,64 +35,3 @@ def worst_noise_ranking(X: np.ndarray) -> np.ndarray:
         raise ValueError("X must be (N, M)")
     worst = X.min(axis=0)
     return np.argsort(worst, kind="stable").astype(np.int64)
-
-
-def worst_noise_selection(X: np.ndarray, n_sensors: int) -> np.ndarray:
-    """Select the ``n_sensors`` candidates with the deepest droops.
-
-    Parameters
-    ----------
-    X:
-        ``(N, M)`` candidate voltages.
-    n_sensors:
-        Sensors to select.
-
-    Returns
-    -------
-    np.ndarray
-        Selected column indices, sorted.
-    """
-    X = np.asarray(X, dtype=float)
-    check_integer(n_sensors, "n_sensors", minimum=1)
-    if X.ndim != 2:
-        raise ValueError("X must be (N, M)")
-    if n_sensors > X.shape[1]:
-        raise ValueError(
-            f"cannot select {n_sensors} sensors from {X.shape[1]} candidates"
-        )
-    return np.sort(worst_noise_ranking(X)[:n_sensors])
-
-
-def fit_worst_noise(
-    dataset: VoltageDataset, n_sensors: int, per_core: bool = True
-) -> np.ndarray:
-    """Worst-noise placement over a dataset.
-
-    Parameters
-    ----------
-    dataset:
-        Training data.
-    n_sensors:
-        Sensors per core (per-core mode) or total (global mode).
-    per_core:
-        Select within each core's candidates separately.
-
-    Returns
-    -------
-    np.ndarray
-        Selected candidate columns in dataset X indexing, sorted.
-    """
-    if not per_core:
-        return worst_noise_selection(dataset.X, n_sensors)
-    cols: List[np.ndarray] = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(f"core {core} has no sensor candidates")
-        local = worst_noise_selection(dataset.X[:, candidate_cols], n_sensors)
-        cols.append(candidate_cols[local])
-    if not cols:
-        raise ValueError("dataset has no cores with blocks")
-    return np.sort(np.concatenate(cols))

@@ -47,12 +47,7 @@ from repro.core.group_lasso import (
     WarmState,
     group_lasso_constrained,
 )
-from repro.core.pipeline import (
-    PipelineConfig,
-    PlacementModel,
-    ScopeModel,
-    _scope_specs,
-)
+from repro.core.pipeline import PipelineConfig, PlacementModel, ScopeModel
 from repro.core.predictor import VoltagePredictor
 from repro.core.selection import prepare_stats, threshold_selection
 from repro.voltage.dataset import VoltageDataset
@@ -126,7 +121,7 @@ class LambdaPathEngine:
         with span("path.prepare", n_jobs=self.n_jobs):
             self._scopes = [
                 self._prepare_scope(core, cand, blocks)
-                for core, cand, blocks in _scope_specs(dataset, base_config)
+                for core, cand, blocks in dataset.scopes(base_config.per_core)
             ]
 
     def _prepare_scope(

@@ -372,7 +372,7 @@ def placement_model_from_cols(
         )
     if config is None:
         config = PipelineConfig(budget=float(cols.size), per_core=per_core)
-    scope_specs = _scope_specs(dataset, config)
+    scope_specs = dataset.scopes(config.per_core)
 
     claimed = np.zeros(dataset.n_candidates, dtype=bool)
     scopes: List[ScopeModel] = []
@@ -416,23 +416,3 @@ def placement_model_from_cols(
             "use per_core=False to fit them globally"
         )
     return PlacementModel(scopes=scopes, config=config, n_blocks=dataset.n_blocks)
-
-
-def _scope_specs(dataset: VoltageDataset, config: PipelineConfig):
-    """``(core_index, candidate_cols, block_cols)`` for every fit scope."""
-    if not config.per_core:
-        return [
-            (-1, np.arange(dataset.n_candidates), np.arange(dataset.n_blocks))
-        ]
-    specs = []
-    for core in dataset.core_ids:
-        candidate_cols, block_cols = dataset.core_view(core)
-        if block_cols.size == 0:
-            continue
-        if candidate_cols.size == 0:
-            raise ValueError(
-                f"core {core} has {block_cols.size} blocks but no "
-                "sensor candidates; use a finer grid or global mode"
-            )
-        specs.append((core, candidate_cols, block_cols))
-    return specs

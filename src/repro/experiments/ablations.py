@@ -24,12 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.correlation_greedy import fit_correlation_greedy
-from repro.baselines.eagle_eye import fit_eagle_eye
-from repro.baselines.ols_magnitude import fit_ols_magnitude
+from repro.baselines import PlacementConstraints, get_placer
 from repro.baselines.plain_lasso import lasso_penalized
-from repro.baselines.random_placement import fit_random
-from repro.baselines.worst_noise import fit_worst_noise
 from repro.core.group_lasso import group_lasso_constrained
 from repro.core.lambda_sweep import fit_for_sensor_count
 from repro.core.normalization import Standardizer
@@ -75,6 +71,17 @@ class PlacementComparison:
     totals: Dict[str, int]
 
 
+#: Ablation A's placement sources besides the group lasso, as
+#: ``table label -> registered placer name``.
+COMPARED_PLACERS = {
+    "eagle-eye": "eagle_eye",
+    "greedy correlation": "correlation",
+    "worst noise": "worst_noise",
+    "ols magnitude": "ols_magnitude",
+    "random": "random",
+}
+
+
 def _ols_error_for_columns(
     data: GeneratedData, columns: np.ndarray
 ) -> float:
@@ -102,26 +109,22 @@ def run_placement_comparison(
     random_seed:
         Seed for the random placement.
     """
-    threshold = data.chip.config.emergency_threshold
     gl_model = fit_for_sensor_count(
         data.train, target_per_core=float(sensors_per_core)
     )
     placements: Dict[str, np.ndarray] = {
-        "group lasso (proposed)": gl_model.sensor_candidate_cols,
-        "eagle-eye": fit_eagle_eye(
-            data.train, n_sensors=sensors_per_core, threshold=threshold
-        ).selected_cols,
-        "greedy correlation": fit_correlation_greedy(
-            data.train, n_sensors=sensors_per_core
-        ),
-        "worst noise": fit_worst_noise(data.train, n_sensors=sensors_per_core),
-        "ols magnitude": fit_ols_magnitude(
-            data.train, n_sensors=sensors_per_core
-        ),
-        "random": fit_random(
-            data.train, n_sensors=sensors_per_core, rng=random_seed
-        ),
+        "group lasso (proposed)": gl_model.sensor_candidate_cols
     }
+    constraints = PlacementConstraints(
+        emergency_threshold=data.chip.config.emergency_threshold,
+        seed=random_seed,
+    )
+    for label, name in COMPARED_PLACERS.items():
+        placements[label] = (
+            get_placer(name)
+            .place(data.train, sensors_per_core, constraints=constraints)
+            .selected_cols
+        )
     errors = {
         name: _ols_error_for_columns(data, cols)
         for name, cols in placements.items()

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.eagle_eye import fit_eagle_eye
+from repro.baselines import PlacementConstraints, get_placer
 from repro.core.lambda_sweep import fit_for_sensor_count
 from repro.experiments.data_generation import GeneratedData
 from repro.floorplan.blocks import UnitKind
@@ -89,15 +89,17 @@ def run_fig3(
     threshold = data.chip.config.emergency_threshold
 
     proposed = fit_for_sensor_count(dataset, target_per_core=float(n_sensors))
-    eagle = fit_eagle_eye(dataset, n_sensors=n_sensors, threshold=threshold)
+    eagle = get_placer("eagle_eye").place(
+        dataset,
+        n_sensors,
+        constraints=PlacementConstraints(emergency_threshold=threshold),
+    )
 
     # Restrict to the displayed core.
     prop_scope = next(
         s for s in proposed.scopes if s.core_index == core_index
     )
     prop_nodes = dataset.candidate_nodes[prop_scope.selected_cols]
-    if eagle.per_core_cols is None:
-        raise RuntimeError("eagle-eye fit must be per-core for Fig. 3")
     ee_nodes = dataset.candidate_nodes[eagle.per_core_cols[core_index]]
 
     def unit_counts(nodes: np.ndarray) -> Dict[str, int]:

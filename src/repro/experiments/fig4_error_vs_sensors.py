@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.baselines.eagle_eye import fit_eagle_eye
+from repro.baselines import EagleEyeModel, PlacementConstraints, get_placer
 from repro.core.lambda_sweep import fit_for_sensor_count
 from repro.experiments.data_generation import GeneratedData
 from repro.voltage.emergencies import any_emergency
@@ -72,11 +70,14 @@ def run_fig4(
     sub = data.eval.subset_benchmark(benchmark)
     truth = any_emergency(sub.F, threshold)
 
+    placer = get_placer("eagle_eye")
+    constraints = PlacementConstraints(emergency_threshold=threshold)
     ee_rates: List[ErrorRates] = []
     prop_rates: List[ErrorRates] = []
     totals: List[int] = []
     for q in sensor_counts:
-        eagle = fit_eagle_eye(data.train, n_sensors=int(q), threshold=threshold)
+        placement = placer.place(data.train, int(q), constraints=constraints)
+        eagle = EagleEyeModel(placement.selected_cols, threshold)
         model = fit_for_sensor_count(data.train, target_per_core=float(q))
         ee_rates.append(detection_error_rates(truth, eagle.alarm(sub.X)))
         prop_rates.append(

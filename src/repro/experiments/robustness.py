@@ -11,7 +11,7 @@ production deployment actually faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,12 +33,12 @@ from repro.voltage.emergencies import any_emergency
 from repro.voltage.metrics import detection_error_rates, mean_relative_error
 from repro.workload.activity import generate_activity
 from repro.workload.benchmarks import get_benchmark
-from repro.workload.current_map import CurrentMapper
 from repro.utils.rng import seed_for
 from repro.utils.tables import format_table
 
 __all__ = [
     "RobustnessResult",
+    "simulate_varied_die",
     "run_robustness_study",
     "render_robustness",
     "SensorFaultTrial",
@@ -85,6 +85,55 @@ class RobustnessResult:
         return float(np.mean(self.instance_errors))
 
 
+def simulate_varied_die(
+    data: GeneratedData,
+    index: int,
+    benchmark: str,
+    n_steps: int,
+    resistance_sigma: float,
+    open_fraction: float,
+    seed_prefix: str = "",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Re-simulate ``benchmark`` on varied die ``index`` of the nominal grid.
+
+    The die perturbs the nominal grid with
+    :func:`with_resistance_variation` (plus :func:`with_open_branches`
+    when ``open_fraction > 0``); the workload runs 50 warm-up steps and
+    ``n_steps`` recorded steps.  Seeds derive from ``seed_prefix`` and
+    the die index (``{prefix}rvar-{i}``, ``{prefix}open-{i}``,
+    ``{prefix}act-{i}-{benchmark}``), so each caller keeps its own
+    stream of dies.
+
+    Returns
+    -------
+    tuple
+        ``(X, F)``: the recorded voltages at the training dataset's
+        candidate and critical nodes.
+    """
+    chip = data.chip
+    grid = with_resistance_variation(
+        chip.grid, resistance_sigma, rng=seed_for(f"{seed_prefix}rvar-{index}")
+    )
+    if open_fraction > 0:
+        grid = with_open_branches(
+            grid, open_fraction, rng=seed_for(f"{seed_prefix}open-{index}")
+        )
+    traces = generate_activity(
+        chip.floorplan,
+        get_benchmark(benchmark),
+        n_steps=n_steps + 50,
+        rng=seed_for(f"{seed_prefix}act-{index}-{benchmark}"),
+    )
+    load = chip.mapper.bound(chip.power_model.block_power(traces))
+    result = TransientSolver(grid, chip.config.timestep).simulate(
+        load, n_steps=n_steps, warmup_steps=50
+    )
+    return (
+        result.voltages[:, data.train.candidate_nodes],
+        result.voltages[:, data.train.critical_nodes],
+    )
+
+
 def run_robustness_study(
     data: GeneratedData,
     n_instances: int = 3,
@@ -129,30 +178,12 @@ def run_robustness_study(
         model.predict(data.eval.X), data.eval.F
     )
 
-    spec = get_benchmark(benchmark)
     instance_errors: List[float] = []
     instance_te: List[float] = []
     for inst in range(n_instances):
-        grid = with_resistance_variation(
-            chip.grid, resistance_sigma, rng=seed_for(f"rvar-{inst}")
+        X, F = simulate_varied_die(
+            data, inst, benchmark, n_steps, resistance_sigma, open_fraction
         )
-        if open_fraction > 0:
-            grid = with_open_branches(
-                grid, open_fraction, rng=seed_for(f"open-{inst}")
-            )
-        solver = TransientSolver(grid, chip.config.timestep)
-        mapper = CurrentMapper(
-            chip.floorplan, chip.classification, grid.n_nodes, vdd=grid.vdd
-        )
-        traces = generate_activity(
-            chip.floorplan, spec, n_steps=n_steps + 50,
-            rng=seed_for(f"act-{inst}-{benchmark}"),
-        )
-        mapper.bind(chip.power_model.block_power(traces))
-        result = solver.simulate(mapper, n_steps=n_steps, warmup_steps=50)
-
-        X = result.voltages[:, data.train.candidate_nodes]
-        F = result.voltages[:, data.train.critical_nodes]
         instance_errors.append(mean_relative_error(model.predict(X), F))
         truth = any_emergency(F, threshold)
         if truth.any():

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.eagle_eye import EagleEyeModel, fit_eagle_eye
+from repro.baselines import EagleEyeModel, PlacementConstraints, get_placer
 from repro.core.lambda_sweep import fit_for_sensor_count
 from repro.core.pipeline import PlacementModel
 from repro.experiments.data_generation import GeneratedData
@@ -88,9 +88,12 @@ def run_table2(
         proposed_model = fit_for_sensor_count(
             data.train, target_per_core=float(sensors_per_core)
         )
-    eagle = fit_eagle_eye(
-        data.train, n_sensors=sensors_per_core, threshold=threshold
+    placement = get_placer("eagle_eye").place(
+        data.train,
+        sensors_per_core,
+        constraints=PlacementConstraints(emergency_threshold=threshold),
     )
+    eagle = EagleEyeModel(placement.selected_cols, threshold)
 
     ee_rates: Dict[str, ErrorRates] = {}
     prop_rates: Dict[str, ErrorRates] = {}

@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.baselines.eagle_eye import fit_eagle_eye
+from repro.baselines import EagleEyeModel, PlacementConstraints, get_placer
 from repro.core.lambda_sweep import fit_for_sensor_count
 from repro.core.pipeline import PlacementModel
 from repro.experiments.data_generation import GeneratedData
@@ -80,14 +78,20 @@ def run_threshold_sweep(
             data.train, target_per_core=float(sensors_per_core)
         )
 
+    placer = get_placer("eagle_eye")
     prevalence: List[float] = []
     ee_rates: List[ErrorRates] = []
     prop_rates: List[ErrorRates] = []
     for thr in thresholds:
         thr = float(thr)
         # Eagle-Eye's placement objective depends on the margin, so it
-        # re-fits per threshold (cheap greedy); ours does not.
-        eagle = fit_eagle_eye(data.train, n_sensors=sensors_per_core, threshold=thr)
+        # re-places per threshold (cheap greedy); ours does not.
+        placement = placer.place(
+            data.train,
+            sensors_per_core,
+            constraints=PlacementConstraints(emergency_threshold=thr),
+        )
+        eagle = EagleEyeModel(placement.selected_cols, thr)
         truth = any_emergency(data.eval.F, thr)
         prevalence.append(float(truth.mean()))
         ee_rates.append(detection_error_rates(truth, eagle.alarm(data.eval.X)))

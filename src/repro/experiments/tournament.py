@@ -1,23 +1,25 @@
 """Placement-algorithm tournament across the scenario suite.
 
-Races every registered :class:`~repro.baselines.placer.Placer` under
-identical conditions and scores each placement on the three scenario
-axes the library already simulates:
+Races registered :class:`~repro.baselines.placer.Placer` names under
+identical conditions — each placer is built with ``get_placer(name)``
+and places exactly once, on the training data — and scores each
+placement on the three scenario axes the library already simulates:
 
 * **benchmarks** — nominal held-out evaluation maps: aggregated
   relative error plus the paper's ME/WAE/TE detection rates, overall
   and per benchmark;
 * **variation** — re-simulated evaluation workloads on varied grid
-  instances (:mod:`repro.powergrid.variation`: resistance spread +
-  open branches), each instance simulated *once* and shared by every
-  placer;
-* **faults** — every (fault mode, placed sensor) pair injected through
-  :mod:`repro.monitor.faults` into a
-  :class:`~repro.monitor.fleet.FleetMonitor` stream, recording the
-  detected fraction and the *degraded-mode error*: the error of the
-  model actually served after failover, measured on clean evaluation
-  data (worst case over sensors = the cost of losing your worst
-  sensor).
+  instances (:func:`~repro.experiments.robustness.simulate_varied_die`:
+  resistance spread + open branches), each instance simulated *once*
+  and shared by every placer;
+* **faults** — the trials of
+  :func:`~repro.experiments.robustness.run_sensor_fault_study`: every
+  (fault mode, placed sensor) pair injected into a
+  :class:`~repro.monitor.fleet.FleetMonitor` stream, aggregated into
+  the detected fraction and the *degraded-mode error*: the error of
+  the model actually served after failover, measured on clean
+  evaluation data (worst case over sensors = the cost of losing your
+  worst sensor).
 
 Placers are ranked by ``overall_error`` — the mean of the nominal and
 per-variation-instance relative errors (degraded-mode error is
@@ -32,29 +34,16 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.placer import (
-    Placement,
-    PlacementConstraints,
-    Placer,
-    get_placer,
-)
+from repro.baselines import Placement, PlacementConstraints, Placer, get_placer
 from repro.core.pipeline import PlacementModel, placement_model_from_cols
 from repro.experiments.data_generation import GeneratedData
-from repro.monitor.faults import DropoutFault, FaultPolicy, SensorFault, StuckAtFault
-from repro.monitor.fleet import FleetMonitor
-from repro.powergrid.transient import TransientSolver
-from repro.powergrid.variation import with_open_branches, with_resistance_variation
-from repro.voltage.dataset import VoltageDataset
+from repro.experiments.robustness import run_sensor_fault_study, simulate_varied_die
 from repro.voltage.emergencies import any_emergency
 from repro.voltage.metrics import detection_error_rates, mean_relative_error
-from repro.workload.activity import generate_activity
-from repro.workload.benchmarks import get_benchmark
-from repro.workload.current_map import CurrentMapper
-from repro.utils.rng import seed_for
 from repro.utils.tables import format_table
 from repro.utils.validation import check_integer, check_non_negative
 
@@ -70,7 +59,7 @@ __all__ = [
 ]
 
 #: Default field: the paper's group lasso, the modern competitors, and
-#: every legacy baseline including the random floor.
+#: every classic baseline including the random floor.
 DEFAULT_PLACERS = (
     "group_lasso",
     "qr_pivot",
@@ -92,8 +81,7 @@ class TournamentConfig:
     Attributes
     ----------
     placers:
-        Registry names to race (constructed with defaults unless an
-        instance override is passed to :func:`run_tournament`).
+        Registry names to race.
     budget:
         Sensors per scope for every placer.
     per_core:
@@ -105,19 +93,12 @@ class TournamentConfig:
     variation_steps:
         Recorded steps per instance simulation.
     fault_modes:
-        Fault injectors exercised per placed sensor (``dropout`` /
-        ``stuck``).
+        Fault injectors exercised per placed sensor (the modes of
+        :func:`~repro.experiments.robustness.run_sensor_fault_study`).
     fault_start, fault_cycles:
         Onset cycle and stream length of each fault trial.
     seed:
         Seed for stochastic placers (threaded via the constraints).
-    variation_refit:
-        For placers advertising ``supports_warm_start``, re-place on
-        every variation instance with a warm-started twin of the placer
-        (seeded by the nominal placement) and record the reuse in
-        ``entry.meta["variation_refit"]`` plus the
-        ``tournament.warm_start_hits`` counter.  Diagnostics only — the
-        leaderboard document is unchanged.
     """
 
     placers: Tuple[str, ...] = DEFAULT_PLACERS
@@ -131,7 +112,6 @@ class TournamentConfig:
     fault_start: int = 16
     fault_cycles: int = 160
     seed: int = 0
-    variation_refit: bool = True
 
     def __post_init__(self) -> None:
         if not self.placers:
@@ -330,67 +310,27 @@ def simulate_variation_instances(
 ) -> List[VariationInstance]:
     """Simulate the varied-die instances once, for all placers to share.
 
-    Instance ``i`` perturbs the nominal grid with
-    :func:`with_resistance_variation` (+ optional
-    :func:`with_open_branches`) under seeds derived from the instance
-    index, then re-runs one benchmark workload (cycling through the
-    training suite) on the varied grid — the
-    :func:`~repro.experiments.robustness.run_robustness_study` recipe.
+    Instance ``i`` is :func:`simulate_varied_die` die ``i`` (seed prefix
+    ``tournament-``), running one benchmark workload cycled through the
+    training suite.
     """
-    chip = data.chip
     names = data.train.benchmark_names
     instances: List[VariationInstance] = []
     for inst in range(config.n_variation):
         benchmark = names[inst % len(names)]
-        grid = with_resistance_variation(
-            chip.grid, config.resistance_sigma,
-            rng=seed_for(f"tournament-rvar-{inst}"),
-        )
-        if config.open_fraction > 0:
-            grid = with_open_branches(
-                grid, config.open_fraction,
-                rng=seed_for(f"tournament-open-{inst}"),
-            )
-        solver = TransientSolver(grid, chip.config.timestep)
-        mapper = CurrentMapper(
-            chip.floorplan, chip.classification, grid.n_nodes, vdd=grid.vdd
-        )
-        traces = generate_activity(
-            chip.floorplan,
-            get_benchmark(benchmark),
-            n_steps=config.variation_steps + 50,
-            rng=seed_for(f"tournament-act-{inst}-{benchmark}"),
-        )
-        mapper.bind(chip.power_model.block_power(traces))
-        result = solver.simulate(
-            mapper, n_steps=config.variation_steps, warmup_steps=50
+        X, F = simulate_varied_die(
+            data,
+            inst,
+            benchmark,
+            config.variation_steps,
+            config.resistance_sigma,
+            config.open_fraction,
+            seed_prefix="tournament-",
         )
         instances.append(
-            VariationInstance(
-                index=inst,
-                benchmark=benchmark,
-                X=result.voltages[:, data.train.candidate_nodes],
-                F=result.voltages[:, data.train.critical_nodes],
-            )
+            VariationInstance(index=inst, benchmark=benchmark, X=X, F=F)
         )
     return instances
-
-
-def _fault_for_mode(
-    mode: str, channel: int, start: int, policy: FaultPolicy
-) -> SensorFault:
-    """The tournament's representative injector of ``mode``."""
-    if mode == "dropout":
-        return DropoutFault(channel=channel, start=start)
-    if mode == "stuck":
-        # In-band stuck-at: only the frozen screen can catch it.
-        return StuckAtFault(
-            channel=channel, start=start,
-            value=0.5 * (policy.v_lo + policy.v_hi),
-        )
-    raise ValueError(
-        f"unknown tournament fault mode {mode!r} (use 'dropout'/'stuck')"
-    )
 
 
 def _detection_row(
@@ -406,146 +346,33 @@ def _detection_row(
 
 
 def _score_faults(
-    model: PlacementModel,
-    ev: VoltageDataset,
-    config: TournamentConfig,
+    model: PlacementModel, data: GeneratedData, config: TournamentConfig
 ) -> Dict[str, Dict[str, float]]:
     """Degraded-mode scores per fault mode.
 
-    For every (mode, placed sensor): replay the evaluation sensor
-    stream with that sensor faulted through a
-    :class:`~repro.monitor.fleet.FleetMonitor` with online screens,
-    then measure the error of the model the fleet actually serves
-    afterwards — on *clean* evaluation data, so the number isolates the
-    cost of running on the leave-one-out fallback.
+    Aggregates the :func:`run_sensor_fault_study` trials of ``model``
+    on the evaluation stream — one per (mode, placed sensor) — into the
+    worst and mean post-failover error and the detected fraction.
     """
-    cols = model.sensor_candidate_cols
-    readings = ev.X[:, cols]
-    if readings.shape[0] < config.fault_cycles:
-        reps = int(np.ceil(config.fault_cycles / readings.shape[0]))
-        readings = np.tile(readings, (reps, 1))
-    readings = readings[: config.fault_cycles]
-    lo, hi = float(readings.min()), float(readings.max())
-    margin = 0.05 * max(hi - lo, 1e-3)
-    policy = FaultPolicy(
-        v_lo=lo - margin, v_hi=hi + margin, frozen_window=8, frozen_eps=0.0
+    study = run_sensor_fault_study(
+        data.train,
+        data.eval,
+        model=model,
+        modes=config.fault_modes,
+        fault_start=config.fault_start,
+        n_cycles=config.fault_cycles,
     )
-
     out: Dict[str, Dict[str, float]] = {}
     for mode in config.fault_modes:
-        degraded: List[float] = []
-        detected = 0
-        for q in range(cols.size):
-            fault = _fault_for_mode(mode, q, config.fault_start, policy)
-            stream = fault.apply(readings)
-            fleet = FleetMonitor(
-                model, threshold=1e-6, n_streams=1, policy=policy
-            )
-            fleet.run_batch(stream[np.newaxis])
-            fleet.finish()
-            if fleet.failures[0]:
-                detected += 1
-            served = fleet.model_for(0)
-            degraded.append(
-                mean_relative_error(served.predict(ev.X), ev.F)
-            )
+        trials = [t for t in study.trials if t.mode == mode]
+        degraded = [t.degraded_error for t in trials]
+        detected = sum(1 for t in trials if t.screen)
         out[mode] = {
             "worst_degraded_error": max(degraded),
             "mean_degraded_error": float(np.mean(degraded)),
-            "detected_fraction": detected / cols.size,
+            "detected_fraction": detected / len(trials),
         }
     return out
-
-
-def _instance_dataset(
-    train: VoltageDataset, inst: VariationInstance
-) -> VoltageDataset:
-    """A variation instance wrapped as a placeable dataset.
-
-    The varied die keeps the nominal grid's node/block layout — only
-    the simulated voltages differ — so the training dataset's metadata
-    carries over verbatim and a placer can re-place on the instance's
-    ``X``/``F``.
-    """
-    n = inst.X.shape[0]
-    return VoltageDataset(
-        X=inst.X,
-        F=inst.F,
-        candidate_nodes=train.candidate_nodes,
-        candidate_cores=train.candidate_cores,
-        critical_nodes=train.critical_nodes,
-        block_names=train.block_names,
-        block_cores=train.block_cores,
-        benchmark_of_sample=np.zeros(n, dtype=np.int64),
-        benchmark_names=[inst.benchmark],
-        vdd=train.vdd,
-    )
-
-
-def _refit_variations(
-    placer: Placer,
-    train: VoltageDataset,
-    constraints: PlacementConstraints,
-    variations: List[VariationInstance],
-    config: TournamentConfig,
-) -> Optional[Dict[str, Any]]:
-    """Warm-started re-placements across the shared variation instances.
-
-    For a placer advertising ``supports_warm_start``, builds a twin
-    with the warm cache enabled, seeds it with a nominal place on the
-    training data, then re-places on every variation instance — each
-    refit's bisection starts from the previous placement's final
-    ``(lambda, warm_state)`` per scope.  Returns a diagnostics dict
-    (also counted into ``tournament.warm_start_hits``), or ``None``
-    when the placer cannot warm-start / refits are disabled.  Never
-    affects the scored entry or the leaderboard document.
-    """
-    if not config.variation_refit or not variations:
-        return None
-    if not getattr(type(placer), "supports_warm_start", False):
-        return None
-    from repro.obs import get_registry
-
-    try:
-        warm_placer = get_placer(placer.name, warm_start=True)
-    except TypeError:
-        return None
-    nominal = warm_placer.place(train, config.budget, constraints=constraints)
-
-    hits = 0
-    probes = 0
-    scopes_total = 0
-    stability: List[float] = []
-    for inst in variations:
-        inst_data = _instance_dataset(train, inst)
-        placement = warm_placer.place(
-            inst_data, config.budget, constraints=constraints
-        )
-        for scope in placement.meta.get("scopes", {}).values():
-            scopes_total += 1
-            probes += int(scope.get("probes", 0))
-            if scope.get("warm_start"):
-                hits += 1
-        stability.append(
-            float(
-                np.intersect1d(
-                    placement.selected_cols, nominal.selected_cols
-                ).size
-            )
-            / max(1, placement.selected_cols.size)
-        )
-    registry = get_registry()
-    if registry.enabled and hits:
-        registry.counter("tournament.warm_start_hits").inc(hits)
-    if registry.enabled:
-        registry.counter("tournament.variation_refits").inc(len(variations))
-    return {
-        "instances": len(variations),
-        "scopes": scopes_total,
-        "warm_start_hits": hits,
-        "probes": probes,
-        "placement_overlap": stability,
-    }
 
 
 def _evaluate_placer(
@@ -601,12 +428,7 @@ def _evaluate_placer(
             else float("nan")
         )
 
-    faults = _score_faults(model, ev, config) if config.fault_modes else {}
-
-    entry_meta = dict(placement.meta)
-    refit = _refit_variations(placer, train, constraints, variations, config)
-    if refit is not None:
-        entry_meta["variation_refit"] = refit
+    faults = _score_faults(model, data, config) if config.fault_modes else {}
 
     overall = float(np.mean([nominal["relative_error"]] + variation_errors))
     return TournamentEntry(
@@ -620,14 +442,12 @@ def _evaluate_placer(
         variation_total_rates=variation_te,
         faults=faults,
         overall_error=overall,
-        meta=entry_meta,
+        meta=placement.meta,
     )
 
 
 def run_tournament(
-    data: GeneratedData,
-    config: Optional[TournamentConfig] = None,
-    placers: Optional[Mapping[str, Placer]] = None,
+    data: GeneratedData, config: Optional[TournamentConfig] = None
 ) -> TournamentResult:
     """Race every configured placer across the scenario grid.
 
@@ -639,9 +459,6 @@ def run_tournament(
         variation/fault scenarios.
     config:
         Scenario grid settings (defaults to :class:`TournamentConfig`).
-    placers:
-        Optional ``name -> instance`` overrides; names not present are
-        constructed from the registry with default parameters.
 
     Returns
     -------
@@ -663,13 +480,10 @@ def run_tournament(
     problems: List[str] = []
     for name in config.placers:
         try:
-            placer = (
-                placers[name]
-                if placers is not None and name in placers
-                else get_placer(name)
-            )
             entries.append(
-                _evaluate_placer(placer, data, constraints, variations, config)
+                _evaluate_placer(
+                    get_placer(name), data, constraints, variations, config
+                )
             )
         except Exception as exc:  # noqa: BLE001 — one bad placer must not kill the race
             problems.append(f"{name}: {type(exc).__name__}: {exc}")

@@ -127,6 +127,40 @@ class VoltageDataset:
         blocks = np.nonzero(self.block_cores == core_index)[0]
         return cand, blocks
 
+    def scopes(
+        self, per_core: bool = True
+    ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """``(core_index, candidate_cols, block_cols)`` of every fit scope.
+
+        Per-core mode visits :attr:`core_ids` in order (each has at
+        least one block, since the ids come from ``block_cores``); the
+        global scope is ``core_index = -1`` over every column.  Shared
+        by the group-lasso fit and every :class:`~repro.baselines.Placer`.
+
+        Raises
+        ------
+        ValueError
+            If a core has blocks but no sensor candidates.
+        """
+        if not per_core:
+            return [
+                (
+                    -1,
+                    np.arange(self.n_candidates, dtype=np.int64),
+                    np.arange(self.n_blocks, dtype=np.int64),
+                )
+            ]
+        specs = []
+        for core in self.core_ids:
+            candidate_cols, block_cols = self.core_view(core)
+            if candidate_cols.size == 0:
+                raise ValueError(
+                    f"core {core} has {block_cols.size} blocks but no "
+                    "sensor candidates; use a finer grid or global mode"
+                )
+            specs.append((core, candidate_cols, block_cols))
+        return specs
+
     def subset_samples(self, rows: Sequence[int]) -> "VoltageDataset":
         """Dataset restricted to the given sample rows."""
         rows = np.asarray(rows, dtype=np.int64)

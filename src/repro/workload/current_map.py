@@ -9,7 +9,7 @@ power-grid analysis.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,8 +86,7 @@ class TraceLoad:
     :meth:`currents_between`, which converts a whole step range with a
     single sparse-dense matmul instead of one matvec per step).
 
-    Steps past the end of the trace clamp to the last step, matching
-    :meth:`CurrentMapper.currents_at`.
+    Steps past the end of the trace clamp to the last step.
     """
 
     __slots__ = ("distribution", "power", "vdd")
@@ -194,12 +193,13 @@ class TraceLoadBatch:
 
 
 class CurrentMapper:
-    """Converts block-power traces into per-step node current vectors.
+    """Converts block-power traces into node-current loads.
 
-    Designed to be handed directly to
-    :meth:`repro.powergrid.transient.TransientSolver.simulate` as the
-    ``load`` callable, avoiding the memory cost of materializing the
-    full ``(n_steps, n_nodes)`` current array.
+    Holds the distribution matrix of one chip; :meth:`bound` packages a
+    benchmark's power traces as a :class:`TraceLoad` that
+    :meth:`repro.powergrid.transient.TransientSolver.simulate` (and
+    ``simulate_many``) consume step by step, avoiding the memory cost
+    of materializing the full ``(n_steps, n_nodes)`` current array.
 
     Parameters
     ----------
@@ -223,41 +223,12 @@ class CurrentMapper:
         self.distribution = build_distribution_matrix(
             floorplan, classification, n_nodes
         )
-        self._power: Optional[np.ndarray] = None
-
-    def bind(self, traces: BlockPowerTraces) -> "CurrentMapper":
-        """Attach power traces; returns self for chaining."""
-        if traces.power.shape[1] != self.distribution.shape[1]:
-            raise ValueError(
-                f"power has {traces.power.shape[1]} blocks, "
-                f"mapper expects {self.distribution.shape[1]}"
-            )
-        self._power = traces.power
-        return self
 
     def bound(self, traces: BlockPowerTraces) -> TraceLoad:
         """Package ``traces`` as a stateless, picklable :class:`TraceLoad`.
 
-        Unlike :meth:`bind`, this leaves the mapper untouched, so one
-        mapper can serve many benchmarks concurrently (the batched and
-        process-parallel generation paths depend on that).
+        The mapper itself stays untouched, so one mapper serves many
+        benchmarks concurrently (the batched and process-parallel
+        generation paths depend on that).
         """
         return TraceLoad(self.distribution, traces.power, self.vdd)
-
-    @property
-    def n_steps(self) -> int:
-        """Steps available in the bound power traces."""
-        if self._power is None:
-            raise RuntimeError("no power traces bound; call bind() first")
-        return self._power.shape[0]
-
-    def currents_at(self, step: int) -> np.ndarray:
-        """Node sink currents (A) for ``step`` of the bound traces."""
-        if self._power is None:
-            raise RuntimeError("no power traces bound; call bind() first")
-        p = self._power[min(step, self._power.shape[0] - 1)]
-        return self.distribution @ (p / self.vdd)
-
-    def __call__(self, step: int) -> np.ndarray:
-        """Alias for :meth:`currents_at` (TransientSolver load API)."""
-        return self.currents_at(step)

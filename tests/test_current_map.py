@@ -56,35 +56,27 @@ class TestCurrentMapper:
     def test_total_current_conserved(self, chip):
         fp, grid, cls = chip
         mapper = CurrentMapper(fp, cls, grid.n_nodes, vdd=1.0)
-        mapper.bind(self.make_power(fp, watts=2.0))
-        currents = mapper.currents_at(0)
+        load = mapper.bound(self.make_power(fp, watts=2.0))
+        currents = load.currents_at(0)
         assert currents.sum() == pytest.approx(2.0 * fp.n_blocks)
 
     def test_vdd_scaling(self, chip):
         fp, grid, cls = chip
         mapper = CurrentMapper(fp, cls, grid.n_nodes, vdd=0.5)
-        mapper.bind(self.make_power(fp, watts=1.0))
-        assert mapper.currents_at(0).sum() == pytest.approx(fp.n_blocks / 0.5)
+        load = mapper.bound(self.make_power(fp, watts=1.0))
+        assert load.currents_at(0).sum() == pytest.approx(fp.n_blocks / 0.5)
 
     def test_callable_interface(self, chip):
         fp, grid, cls = chip
-        mapper = CurrentMapper(fp, cls, grid.n_nodes).bind(self.make_power(fp))
-        assert np.array_equal(mapper(3), mapper.currents_at(3))
+        load = CurrentMapper(fp, cls, grid.n_nodes).bound(self.make_power(fp))
+        assert np.array_equal(load(3), load.currents_at(3))
 
     def test_step_clamped_to_last(self, chip):
         fp, grid, cls = chip
-        mapper = CurrentMapper(fp, cls, grid.n_nodes).bind(
+        load = CurrentMapper(fp, cls, grid.n_nodes).bound(
             self.make_power(fp, n_steps=4)
         )
-        assert np.array_equal(mapper.currents_at(100), mapper.currents_at(3))
-
-    def test_unbound_raises(self, chip):
-        fp, grid, cls = chip
-        mapper = CurrentMapper(fp, cls, grid.n_nodes)
-        with pytest.raises(RuntimeError, match="bind"):
-            mapper.currents_at(0)
-        with pytest.raises(RuntimeError, match="bind"):
-            mapper.n_steps
+        assert np.array_equal(load.currents_at(100), load.currents_at(3))
 
     def test_bind_shape_check(self, chip):
         fp, grid, cls = chip
@@ -94,5 +86,5 @@ class TestCurrentMapper:
             block_names=["x"] * (fp.n_blocks + 1),
             benchmark="bad",
         )
-        with pytest.raises(ValueError, match="blocks"):
-            mapper.bind(bad)
+        with pytest.raises(ValueError, match="power must be"):
+            mapper.bound(bad)

@@ -1,14 +1,22 @@
-"""Tests for repro.baselines.eagle_eye."""
+"""Tests for repro.baselines.eagle_eye and the ``eagle_eye`` placer."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.eagle_eye import (
+from repro.baselines import (
     EagleEyeModel,
-    fit_eagle_eye,
-    greedy_coverage_selection,
+    PlacementConstraints,
+    get_placer,
+    greedy_coverage_order,
 )
 from tests.conftest import make_synthetic_dataset
+
+
+def place_eagle_eye(ds, n_sensors, threshold, per_core=True):
+    constraints = PlacementConstraints(
+        per_core=per_core, emergency_threshold=threshold
+    )
+    return get_placer("eagle_eye").place(ds, n_sensors, constraints)
 
 
 class TestGreedyCoverage:
@@ -17,7 +25,7 @@ class TestGreedyCoverage:
         X = np.full((6, 3), 0.95)
         X[:3, 1] = 0.80
         emergency = np.array([True, True, True, False, False, False])
-        sel = greedy_coverage_selection(X, emergency, n_sensors=1, threshold=0.85)
+        sel = greedy_coverage_order(X, emergency, n_sensors=1, threshold=0.85)
         assert sel.tolist() == [1]
 
     def test_second_sensor_covers_remainder(self):
@@ -25,7 +33,7 @@ class TestGreedyCoverage:
         X[:2, 0] = 0.80  # covers emergencies 0-1
         X[2:4, 2] = 0.80  # covers emergencies 2-3
         emergency = np.array([True, True, True, True, False, False])
-        sel = greedy_coverage_selection(X, emergency, n_sensors=2, threshold=0.85)
+        sel = greedy_coverage_order(X, emergency, n_sensors=2, threshold=0.85)
         assert set(sel.tolist()) == {0, 2}
 
     def test_tie_break_prefers_worst_noise(self):
@@ -34,30 +42,30 @@ class TestGreedyCoverage:
         X[0, 0] = 0.84
         X[0, 1] = 0.80
         emergency = np.array([True, False, False, False])
-        sel = greedy_coverage_selection(X, emergency, n_sensors=1, threshold=0.85)
+        sel = greedy_coverage_order(X, emergency, n_sensors=1, threshold=0.85)
         assert sel.tolist() == [1]
 
     def test_fills_with_worst_noise_when_no_gain(self):
         X = np.full((4, 3), 0.95)
         X[:, 2] = 0.90  # noisiest candidate, but no emergencies at all
         emergency = np.zeros(4, dtype=bool)
-        sel = greedy_coverage_selection(X, emergency, n_sensors=2, threshold=0.85)
+        sel = greedy_coverage_order(X, emergency, n_sensors=2, threshold=0.85)
         assert 2 in sel.tolist()
         assert sel.shape[0] == 2
 
     def test_rejects_too_many_sensors(self):
         with pytest.raises(ValueError):
-            greedy_coverage_selection(
+            greedy_coverage_order(
                 np.ones((3, 2)), np.zeros(3, dtype=bool), 3, 0.85
             )
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            greedy_coverage_selection(
+            greedy_coverage_order(
                 np.ones(5), np.zeros(5, dtype=bool), 1, 0.85
             )
         with pytest.raises(ValueError):
-            greedy_coverage_selection(
+            greedy_coverage_order(
                 np.ones((5, 2)), np.zeros(4, dtype=bool), 1, 0.85
             )
 
@@ -72,35 +80,35 @@ class TestFitEagleEye:
 
     def test_per_core_counts(self):
         ds = self.make_dataset_with_noise()
-        model = fit_eagle_eye(ds, n_sensors=2, threshold=0.85)
-        assert model.n_sensors == 2 * len(ds.core_ids)
-        assert set(model.per_core_cols) == set(ds.core_ids)
+        placement = place_eagle_eye(ds, 2, 0.85)
+        assert placement.n_sensors == 2 * len(ds.core_ids)
+        assert set(placement.per_core_cols) == set(ds.core_ids)
 
     def test_global_mode(self):
         ds = self.make_dataset_with_noise()
-        model = fit_eagle_eye(ds, n_sensors=3, threshold=0.85, per_core=False)
-        assert model.n_sensors == 3
-        assert model.per_core_cols is None
+        placement = place_eagle_eye(ds, 3, 0.85, per_core=False)
+        assert placement.n_sensors == 3
+        assert placement.per_core_cols is None
 
     def test_alarm_semantics(self):
         ds = self.make_dataset_with_noise()
-        model = fit_eagle_eye(ds, n_sensors=2, threshold=0.85)
+        placement = place_eagle_eye(ds, 2, 0.85)
+        model = EagleEyeModel(placement.selected_cols, 0.85)
         alarms = model.alarm(ds.X)
-        manual = np.any(ds.X[:, model.selected_cols] < 0.85, axis=1)
+        manual = np.any(ds.X[:, placement.selected_cols] < 0.85, axis=1)
         assert np.array_equal(alarms, manual)
 
     def test_selected_cols_sorted_unique(self):
         ds = self.make_dataset_with_noise()
-        model = fit_eagle_eye(ds, n_sensors=2, threshold=0.85)
-        cols = model.selected_cols
+        cols = place_eagle_eye(ds, 2, 0.85).selected_cols
         assert np.array_equal(cols, np.unique(cols))
 
     def test_rejects_bad_args(self):
         ds = self.make_dataset_with_noise()
         with pytest.raises((ValueError, TypeError)):
-            fit_eagle_eye(ds, n_sensors=0, threshold=0.85)
+            place_eagle_eye(ds, 0, 0.85)
         with pytest.raises(ValueError):
-            fit_eagle_eye(ds, n_sensors=1, threshold=-0.1)
+            place_eagle_eye(ds, 1, -0.1)
 
 
 class TestBlockStates:

@@ -7,7 +7,7 @@ checking the cross-module contracts that unit tests cannot see.
 import numpy as np
 import pytest
 
-from repro.baselines import fit_eagle_eye
+from repro.baselines import EagleEyeModel, PlacementConstraints, get_placer
 from repro.core import PipelineConfig, fit_placement
 from repro.voltage.emergencies import any_emergency
 from repro.voltage.metrics import detection_error_rates, mean_relative_error
@@ -53,7 +53,12 @@ class TestEndToEnd:
 
     def test_eagle_eye_comparison_runs(self, tiny_data):
         threshold = 0.85
-        eagle = fit_eagle_eye(tiny_data.train, n_sensors=2, threshold=threshold)
+        placement = get_placer("eagle_eye").place(
+            tiny_data.train,
+            2,
+            PlacementConstraints(emergency_threshold=threshold),
+        )
+        eagle = EagleEyeModel(placement.selected_cols, threshold)
         truth = any_emergency(tiny_data.eval.F, threshold)
         if truth.sum() == 0:
             pytest.skip("no emergencies in tiny evaluation run")

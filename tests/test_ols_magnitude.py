@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ols_magnitude import fit_ols_magnitude, ols_magnitude_selection
+from repro.baselines import PlacementConstraints, get_placer
+from repro.baselines.ols_magnitude import ols_magnitude_ranking
 from tests.conftest import make_synthetic_dataset
+
+
+def place_ols_magnitude(ds, n_sensors, per_core=True):
+    return get_placer("ols_magnitude").place(
+        ds, n_sensors, PlacementConstraints(per_core=per_core)
+    ).selected_cols
 
 
 class TestOLSMagnitudeSelection:
@@ -15,7 +22,7 @@ class TestOLSMagnitudeSelection:
         driver = 0.9 + 0.02 * rng.standard_normal(300)
         X[:, 3] = driver
         F = np.column_stack([driver * 1.1 - 0.09])
-        sel = ols_magnitude_selection(X, F, 1)
+        sel = ols_magnitude_ranking(X, F)[:1]
         assert sel.tolist() == [3]
 
     def test_collinearity_splits_weight(self):
@@ -30,7 +37,7 @@ class TestOLSMagnitudeSelection:
             [driver, driver + 1e-4 * rng.standard_normal(n), weak]
         )
         F = 0.9 + 0.01 * np.column_stack([driver + 0.8 * weak])
-        sel = ols_magnitude_selection(X, F, 1)
+        sel = ols_magnitude_ranking(X, F)[:1]
         # The heuristic's pick is unstable here; assert only the API
         # contract (one valid column), documenting the instability.
         assert sel.shape == (1,)
@@ -38,24 +45,25 @@ class TestOLSMagnitudeSelection:
 
     def test_count_and_sorting(self):
         ds = make_synthetic_dataset()
-        sel = ols_magnitude_selection(ds.X, ds.F, 5)
+        sel = place_ols_magnitude(ds, 5, per_core=False)
         assert sel.shape == (5,)
         assert np.array_equal(sel, np.sort(sel))
 
     def test_rejects_too_many(self):
-        with pytest.raises(ValueError):
-            ols_magnitude_selection(np.ones((10, 3)), np.ones((10, 1)), 4)
+        ds = make_synthetic_dataset()
+        with pytest.raises(ValueError, match="cannot select"):
+            place_ols_magnitude(ds, ds.n_candidates + 1, per_core=False)
 
 
 class TestFitOLSMagnitude:
     def test_per_core(self):
         ds = make_synthetic_dataset()
-        cols = fit_ols_magnitude(ds, n_sensors=2)
+        cols = place_ols_magnitude(ds, 2)
         assert cols.shape[0] == 2 * len(ds.core_ids)
         for core in ds.core_ids:
             assert (ds.candidate_cores[cols] == core).sum() == 2
 
     def test_global(self):
         ds = make_synthetic_dataset()
-        cols = fit_ols_magnitude(ds, n_sensors=3, per_core=False)
+        cols = place_ols_magnitude(ds, 3, per_core=False)
         assert cols.shape[0] == 3

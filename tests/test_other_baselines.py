@@ -4,14 +4,17 @@ baselines."""
 import numpy as np
 import pytest
 
-from repro.baselines.correlation_greedy import (
-    fit_correlation_greedy,
-    greedy_correlation_selection,
-)
-from repro.baselines.plain_lasso import lasso_penalized, lasso_select_sensors
-from repro.baselines.random_placement import fit_random, random_selection
-from repro.baselines.worst_noise import fit_worst_noise, worst_noise_selection
+from repro.baselines import PlacementConstraints, get_placer
+from repro.baselines.correlation_greedy import greedy_correlation_order
+from repro.baselines.plain_lasso import lasso_penalized
+from repro.baselines.random_placement import random_selection
+from repro.baselines.worst_noise import worst_noise_ranking
 from tests.conftest import make_synthetic_dataset
+
+
+def place(name, ds, n_sensors, per_core=True, seed=0):
+    constraints = PlacementConstraints(per_core=per_core, seed=seed)
+    return get_placer(name).place(ds, n_sensors, constraints).selected_cols
 
 
 class TestWorstNoise:
@@ -19,24 +22,25 @@ class TestWorstNoise:
         X = np.full((5, 4), 0.95)
         X[0, 2] = 0.7
         X[1, 0] = 0.8
-        sel = worst_noise_selection(X, 2)
+        sel = worst_noise_ranking(X)[:2]
         assert set(sel.tolist()) == {0, 2}
 
     def test_per_core_fit(self):
         ds = make_synthetic_dataset()
-        cols = fit_worst_noise(ds, n_sensors=2)
+        cols = place("worst_noise", ds, 2)
         assert cols.shape[0] == 2 * len(ds.core_ids)
         # Two sensors from each core's pool.
         assert (ds.candidate_cores[cols] == 0).sum() == 2
 
     def test_global_fit(self):
         ds = make_synthetic_dataset()
-        cols = fit_worst_noise(ds, n_sensors=3, per_core=False)
+        cols = place("worst_noise", ds, 3, per_core=False)
         assert cols.shape[0] == 3
 
     def test_rejects_too_many(self):
-        with pytest.raises(ValueError):
-            worst_noise_selection(np.ones((3, 2)), 5)
+        ds = make_synthetic_dataset()
+        with pytest.raises(ValueError, match="cannot select"):
+            place("worst_noise", ds, ds.n_candidates + 1, per_core=False)
 
 
 class TestRandomPlacement:
@@ -51,7 +55,7 @@ class TestRandomPlacement:
 
     def test_per_core_fit(self):
         ds = make_synthetic_dataset()
-        cols = fit_random(ds, n_sensors=2, rng=1)
+        cols = place("random", ds, 2, seed=1)
         assert cols.shape[0] == 2 * len(ds.core_ids)
 
     def test_rejects_too_many(self):
@@ -67,7 +71,7 @@ class TestCorrelationGreedy:
         driver = 0.9 + 0.02 * rng.standard_normal(200)
         X[:, 4] = driver
         F = np.column_stack([driver * 0.9, driver * 1.1])
-        sel = greedy_correlation_selection(X, F, 1)
+        sel = greedy_correlation_order(X, F, 1)
         assert sel.tolist() == [4]
 
     def test_residual_orthogonalization_avoids_duplicates(self):
@@ -78,17 +82,17 @@ class TestCorrelationGreedy:
         b = rng.standard_normal(300)
         X = np.column_stack([a, a, b])
         F = np.column_stack([a + b])
-        sel = greedy_correlation_selection(X, F, 2)
+        sel = greedy_correlation_order(X, F, 2)
         assert 2 in sel.tolist()
 
     def test_per_core_fit(self):
         ds = make_synthetic_dataset()
-        cols = fit_correlation_greedy(ds, n_sensors=2)
+        cols = place("correlation", ds, 2)
         assert cols.shape[0] == 2 * len(ds.core_ids)
 
     def test_rejects_too_many(self):
         with pytest.raises(ValueError):
-            greedy_correlation_selection(np.ones((5, 2)), np.ones((5, 1)), 3)
+            greedy_correlation_order(np.ones((5, 2)), np.ones((5, 1)), 3)
 
 
 class TestPlainLasso:
@@ -120,11 +124,6 @@ class TestPlainLasso:
         result = lasso_penalized(Z, G, mu=30.0)
         col9 = result.coef[:, 9]
         assert np.any(col9 == 0.0) and np.any(col9 != 0.0)
-
-    def test_select_sensors_wrapper(self):
-        Z, G = self.sparse_problem()
-        sel = lasso_select_sensors(Z + 0.9, G + 0.9, mu=30.0)
-        assert sel.size >= 1
 
     def test_rejects_bad_args(self):
         Z, G = self.sparse_problem()

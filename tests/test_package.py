@@ -43,10 +43,10 @@ class TestPublicAPI:
     def test_key_entry_points(self):
         from repro.core import fit_placement, select_sensors, sweep_lambda
         from repro.experiments import generate_dataset
-        from repro.baselines import fit_eagle_eye
+        from repro.baselines import EagleEyeModel, get_placer
 
         for fn in (fit_placement, select_sensors, sweep_lambda,
-                   generate_dataset, fit_eagle_eye):
+                   generate_dataset, get_placer, EagleEyeModel):
             assert callable(fn)
             assert fn.__doc__  # every public entry point is documented
 

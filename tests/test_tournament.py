@@ -171,60 +171,21 @@ def test_committed_leaderboard_meets_coverage_floor():
         assert np.isfinite(entry["overall_error"])
 
 
-class TestVariationRefit:
-    """Warm-started re-placement across shared variation instances."""
+def test_each_placer_places_once(tiny_data):
+    # One scored placement per placer: nothing else in the race feeds
+    # the shared placer.* counters, and no tournament.* counter exists.
+    import repro.obs as obs
 
-    def test_refit_records_warm_reuse(self, tiny_data):
-        import repro.obs as obs
-
-        config = TournamentConfig(
-            placers=("group_lasso", "worst_noise"),
-            budget=1,
-            n_variation=2,
-            variation_steps=60,
-            fault_modes=(),
-        )
-        with obs.use_registry(obs.MetricsRegistry()) as registry:
-            result = run_tournament(tiny_data, config)
-            assert (
-                registry.counter("tournament.variation_refits").snapshot()
-                == 2
-            )
-            assert (
-                registry.counter("tournament.warm_start_hits").snapshot()
-                >= 1
-            )
-        by_name = {e.placer: e for e in result.entries}
-        refit = by_name["group_lasso"].meta["variation_refit"]
-        assert refit["instances"] == 2
-        assert refit["scopes"] >= 2
-        assert 1 <= refit["warm_start_hits"] <= refit["scopes"]
-        assert refit["probes"] >= refit["scopes"]
-        assert len(refit["placement_overlap"]) == 2
-        assert all(0.0 <= o <= 1.0 for o in refit["placement_overlap"])
-        # Placers that cannot warm-start simply skip the axis.
-        assert "variation_refit" not in by_name["worst_noise"].meta
-
-    def test_refit_disabled_leaves_meta_untouched(self, tiny_data):
-        config = TournamentConfig(
-            placers=("group_lasso",),
-            budget=1,
-            n_variation=1,
-            variation_steps=60,
-            fault_modes=(),
-            variation_refit=False,
-        )
+    config = TournamentConfig(
+        budget=1, n_variation=1, variation_steps=60, fault_modes=()
+    )
+    with obs.use_registry(obs.MetricsRegistry()) as registry:
         result = run_tournament(tiny_data, config)
-        assert "variation_refit" not in result.entries[0].meta
-
-    def test_refit_never_reaches_leaderboard_document(self, tiny_data):
-        config = TournamentConfig(
-            placers=("group_lasso",),
-            budget=1,
-            n_variation=1,
-            variation_steps=60,
-            fault_modes=(),
-        )
-        result = run_tournament(tiny_data, config)
-        doc = result.leaderboard()
-        assert "variation_refit" not in json.dumps(doc)
+        counters = registry.snapshot()["counters"]
+    assert result.problems == []
+    placements = {
+        name: counters.get(f"placer.{name}.placements")
+        for name in config.placers
+    }
+    assert placements == {name: 1 for name in config.placers}
+    assert not [name for name in counters if name.startswith("tournament.")]

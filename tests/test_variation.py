@@ -90,7 +90,6 @@ class TestPlacementRobustness:
         from repro.powergrid.transient import TransientSolver
         from repro.voltage.metrics import mean_relative_error
         from repro.workload import (
-            CurrentMapper,
             McPATLikePowerModel,
             generate_activity,
             get_benchmark,
@@ -104,14 +103,13 @@ class TestPlacementRobustness:
 
         varied = with_resistance_variation(chip.grid, 0.1, rng=9)
         solver = TransientSolver(varied, chip.config.timestep)
-        mapper = CurrentMapper(
-            chip.floorplan, chip.classification, varied.n_nodes, vdd=varied.vdd
-        )
         traces = generate_activity(
             chip.floorplan, get_benchmark("x264"), 150, rng=55
         )
-        mapper.bind(McPATLikePowerModel(chip.floorplan).block_power(traces))
-        result = solver.simulate(mapper, n_steps=100, warmup_steps=50)
+        load = chip.mapper.bound(
+            McPATLikePowerModel(chip.floorplan).block_power(traces)
+        )
+        result = solver.simulate(load, n_steps=100, warmup_steps=50)
         X = result.voltages[:, tiny_data.train.candidate_nodes]
         F = result.voltages[:, tiny_data.train.critical_nodes]
         err_varied = mean_relative_error(model.predict(X), F)
