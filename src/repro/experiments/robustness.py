@@ -41,6 +41,8 @@ __all__ = [
     "simulate_varied_die",
     "run_robustness_study",
     "render_robustness",
+    "FAULT_MODES",
+    "check_fault_modes",
     "SensorFaultTrial",
     "SensorFaultResult",
     "run_sensor_fault_study",
@@ -255,10 +257,28 @@ class SensorFaultResult:
         return all(np.isfinite(t.detect_latency) for t in self.trials)
 
 
+#: Fault modes the sensor-fault study can inject (see :func:`_fault_for_mode`).
+FAULT_MODES = ("dropout", "stuck", "drift", "glitch")
+
+
+def check_fault_modes(modes: Tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming each entry of ``modes`` not in :data:`FAULT_MODES`."""
+    unknown = [m for m in modes if m not in FAULT_MODES]
+    if unknown:
+        raise ValueError(
+            f"unknown fault mode(s) {', '.join(map(repr, unknown))}; "
+            f"expected one of {FAULT_MODES}"
+        )
+
+
 def _fault_for_mode(
     mode: str, channel: int, start: int, policy: FaultPolicy
 ) -> SensorFault:
-    """A representative injector of ``mode`` on ``channel``."""
+    """A representative injector of ``mode`` on ``channel``.
+
+    ``mode`` is one of :data:`FAULT_MODES`: callers check their modes
+    with :func:`check_fault_modes` before any replay.
+    """
     if mode == "dropout":
         return DropoutFault(channel=channel, start=start)
     if mode == "stuck":
@@ -272,9 +292,7 @@ def _fault_for_mode(
             channel=channel, start=start, anchor=policy.v_hi - 0.25 * span,
             rate=span / 64.0,
         )
-    if mode == "glitch":
-        return GlitchFault(channel=channel, start=start, lsb=0.0625)
-    raise ValueError(f"unknown fault mode {mode!r}")
+    return GlitchFault(channel=channel, start=start, lsb=0.0625)
 
 
 def run_sensor_fault_study(
@@ -283,7 +301,7 @@ def run_sensor_fault_study(
     budget: float = 1.0,
     model: Optional[PlacementModel] = None,
     policy: Optional[FaultPolicy] = None,
-    modes: tuple = ("dropout", "stuck", "drift", "glitch"),
+    modes: tuple = FAULT_MODES,
     fault_start: int = 20,
     n_cycles: int = 200,
 ) -> SensorFaultResult:
@@ -317,6 +335,7 @@ def run_sensor_fault_study(
     n_cycles:
         Stream length per trial.
     """
+    check_fault_modes(modes)
     if model is None:
         model = fit_placement(dataset, PipelineConfig(budget=budget))
     ev = dataset if eval_dataset is None else eval_dataset

@@ -41,7 +41,11 @@ import numpy as np
 from repro.baselines import Placement, PlacementConstraints, Placer, get_placer
 from repro.core.pipeline import PlacementModel, placement_model_from_cols
 from repro.experiments.data_generation import GeneratedData
-from repro.experiments.robustness import run_sensor_fault_study, simulate_varied_die
+from repro.experiments.robustness import (
+    check_fault_modes,
+    run_sensor_fault_study,
+    simulate_varied_die,
+)
 from repro.voltage.emergencies import any_emergency
 from repro.voltage.metrics import detection_error_rates, mean_relative_error
 from repro.utils.tables import format_table
@@ -125,6 +129,7 @@ class TournamentConfig:
         check_non_negative(self.open_fraction, "open_fraction")
         if self.fault_start >= self.fault_cycles:
             raise ValueError("fault_start must be < fault_cycles")
+        check_fault_modes(self.fault_modes)
 
 
 @dataclass

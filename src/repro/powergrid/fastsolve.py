@@ -6,10 +6,10 @@ column pointers and row indices — is paid ``B`` times for a ``(n, B)``
 solve, and it is the dominant cost of lockstep multi-benchmark
 transient integration (see :mod:`repro.powergrid.transient`).
 
-This module JIT-compiles (once per machine, cached on disk) a small C
-kernel that walks each factor **once** and applies every update to all
-``B`` right-hand sides in an inner loop over contiguous memory, which
-the compiler auto-vectorizes.  On the mesh matrices this repo produces,
+This module binds a small C kernel — compiled once per machine and
+cached on disk by :mod:`repro.utils.ckernel` — that walks each factor
+**once** and applies every update to all ``B`` right-hand sides in an
+inner loop over contiguous memory, which the compiler auto-vectorizes.  On the mesh matrices this repo produces,
 it solves a 19-wide batch 5-10x faster than ``SuperLU.solve``.
 
 Bit-exactness property
@@ -35,268 +35,13 @@ against ``SuperLU.solve`` deviates.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import subprocess
-import tempfile
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["LUKernel", "build_lu_kernel", "kernel_cache_dir"]
+from repro.utils.ckernel import get_lib
 
-#: Set (to anything non-empty) to force the pure-scipy fallback.
-DISABLE_ENV_VAR = "REPRO_DISABLE_CKERNEL"
-
-#: Overrides the compiled-kernel cache directory.
-CACHE_ENV_VAR = "REPRO_KERNEL_CACHE"
-
-_KERNEL_SOURCE = r"""
-/* Multi-RHS solve of  A x = b  given  A[ipr][:, ipc^-1] = L U  from a
- * SuperLU factorization without equilibration.
- *
- * Layout: b, x and the work buffer are row-major (n, nrhs); the inner
- * loops run over the contiguous nrhs dimension so they vectorize.
- * L is CSC with sorted indices and an explicit unit diagonal stored
- * first in each column; U is CSC with sorted indices, diagonal last.
- */
-void lu_solve_many(
-    int n, int nrhs,
-    const int *Lp, const int *Li, const double *Lx,
-    const int *Up, const int *Ui, const double *Ux,
-    const int *ipr, const int *pc,
-    const double *b, double *x, double *y)
-{
-    int j, k, t;
-    /* scatter: y = b[ipr] */
-    for (j = 0; j < n; ++j) {
-        const double *src = b + (long)ipr[j] * nrhs;
-        double *dst = y + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) dst[t] = src[t];
-    }
-    /* forward solve L y = y (unit diagonal, stored first) */
-    for (j = 0; j < n; ++j) {
-        const double *yj = y + (long)j * nrhs;
-        for (k = Lp[j] + 1; k < Lp[j + 1]; ++k) {
-            double lv = Lx[k];
-            double *yi = y + (long)Li[k] * nrhs;
-            for (t = 0; t < nrhs; ++t) yi[t] -= lv * yj[t];
-        }
-    }
-    /* backward solve U y = y (diagonal stored last) */
-    for (j = n - 1; j >= 0; --j) {
-        int end = Up[j + 1] - 1;
-        double d = Ux[end];
-        double *yj = y + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) yj[t] /= d;
-        for (k = Up[j]; k < end; ++k) {
-            double uv = Ux[k];
-            double *yi = y + (long)Ui[k] * nrhs;
-            for (t = 0; t < nrhs; ++t) yi[t] -= uv * yj[t];
-        }
-    }
-    /* gather: x[k] = y[pc[k]] */
-    for (j = 0; j < n; ++j) {
-        const double *src = y + (long)pc[j] * nrhs;
-        double *dst = x + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) dst[t] = src[t];
-    }
-}
-
-/* One fused backward-Euler timestep for all right-hand sides:
- *   rhs   = cap_over_h * v - load  (+ pad companion injections)
- *   v_out = A^-1 rhs               (permuted L/U triangular solves)
- *   pad_i = pad_g*(vdd - v_out[pad]) + pad_gl*pad_i
- * The right-hand side is assembled directly into the row-permuted work
- * buffer, so the step makes no extra full-array passes beyond the
- * solve itself.  Every arithmetic expression mirrors the numpy
- * reference path operation for operation (the file is compiled with
- * -ffp-contract=off, so no FMA contraction can perturb a rounding).
- */
-void be_step_many(
-    int n, int nrhs,
-    const int *Lp, const int *Li, const double *Lx,
-    const int *Up, const int *Ui, const double *Ux,
-    const int *ipr, const int *pc, const int *pr,
-    const double *cap_over_h,
-    const double *v,
-    const double *load, long load_row_stride,
-    const int *pad_nodes, int n_pads,
-    const double *pad_g, const double *pad_gl, const double *pad_g_vdd,
-    double vdd,
-    double *pad_i,
-    double *v_out, double *y)
-{
-    int j, k, t;
-    /* fused scatter + rhs build: y[j] = cap[r]*v[r] - load[r], r = ipr[j] */
-    for (j = 0; j < n; ++j) {
-        long r = ipr[j];
-        double c = cap_over_h[r];
-        const double *vr = v + r * nrhs;
-        const double *lr = load + r * load_row_stride;
-        double *yj = y + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) {
-            double prod = c * vr[t];
-            yj[t] = prod - lr[t];
-        }
-    }
-    /* pad companion injection at the permuted rows */
-    for (k = 0; k < n_pads; ++k) {
-        double gv = pad_g_vdd[k];
-        double gl = pad_gl[k];
-        const double *pik = pad_i + (long)k * nrhs;
-        double *yj = y + (long)pr[pad_nodes[k]] * nrhs;
-        for (t = 0; t < nrhs; ++t) {
-            double term = gl * pik[t];
-            double inj = gv + term;
-            yj[t] += inj;
-        }
-    }
-    /* forward solve L y = y (unit diagonal, stored first) */
-    for (j = 0; j < n; ++j) {
-        const double *yj = y + (long)j * nrhs;
-        for (k = Lp[j] + 1; k < Lp[j + 1]; ++k) {
-            double lv = Lx[k];
-            double *yi = y + (long)Li[k] * nrhs;
-            for (t = 0; t < nrhs; ++t) yi[t] -= lv * yj[t];
-        }
-    }
-    /* backward solve U y = y (diagonal stored last) */
-    for (j = n - 1; j >= 0; --j) {
-        int end = Up[j + 1] - 1;
-        double d = Ux[end];
-        double *yj = y + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) yj[t] /= d;
-        for (k = Up[j]; k < end; ++k) {
-            double uv = Ux[k];
-            double *yi = y + (long)Ui[k] * nrhs;
-            for (t = 0; t < nrhs; ++t) yi[t] -= uv * yj[t];
-        }
-    }
-    /* gather: v_out[k] = y[pc[k]] */
-    for (j = 0; j < n; ++j) {
-        const double *src = y + (long)pc[j] * nrhs;
-        double *dst = v_out + (long)j * nrhs;
-        for (t = 0; t < nrhs; ++t) dst[t] = src[t];
-    }
-    /* pad branch-current update from the solved voltages */
-    for (k = 0; k < n_pads; ++k) {
-        double g = pad_g[k];
-        double gl = pad_gl[k];
-        const double *vk = v_out + (long)pad_nodes[k] * nrhs;
-        double *pik = pad_i + (long)k * nrhs;
-        for (t = 0; t < nrhs; ++t) {
-            double drop = vdd - vk[t];
-            double drive = g * drop;
-            double hist = gl * pik[t];
-            pik[t] = drive + hist;
-        }
-    }
-}
-"""
-
-_CDEF = """
-void lu_solve_many(
-    int n, int nrhs,
-    const int *Lp, const int *Li, const double *Lx,
-    const int *Up, const int *Ui, const double *Ux,
-    const int *ipr, const int *pc,
-    const double *b, double *x, double *y);
-void be_step_many(
-    int n, int nrhs,
-    const int *Lp, const int *Li, const double *Lx,
-    const int *Up, const int *Ui, const double *Ux,
-    const int *ipr, const int *pc, const int *pr,
-    const double *cap_over_h,
-    const double *v,
-    const double *load, long load_row_stride,
-    const int *pad_nodes, int n_pads,
-    const double *pad_g, const double *pad_gl, const double *pad_g_vdd,
-    double vdd,
-    double *pad_i,
-    double *v_out, double *y);
-"""
-
-_lib = None
-_lib_failed = False
-
-
-def kernel_cache_dir() -> str:
-    """Directory holding the compiled kernel shared objects."""
-    root = os.environ.get(CACHE_ENV_VAR)
-    if root:
-        return root
-    return os.path.join(
-        os.path.expanduser("~"), ".cache", "repro", "kernels"
-    )
-
-
-def _compile_library() -> Optional[str]:
-    """Compile the kernel to a cached .so; returns its path or None."""
-    source_hash = hashlib.sha256(_KERNEL_SOURCE.encode()).hexdigest()[:16]
-    cache_dir = kernel_cache_dir()
-    lib_path = os.path.join(cache_dir, f"lusolve-{source_hash}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-    except OSError:
-        return None
-    cc = os.environ.get("CC", "cc")
-    with tempfile.TemporaryDirectory() as tmp:
-        c_path = os.path.join(tmp, "lusolve.c")
-        with open(c_path, "w", encoding="utf-8") as fh:
-            fh.write(_KERNEL_SOURCE)
-        tmp_so = os.path.join(tmp, "lusolve.so")
-        # -ffp-contract=off keeps mul/add sequences exactly as written
-        # (no FMA contraction), which the bit-identity guarantees of
-        # be_step_many versus the numpy reference path depend on.
-        base = [
-            cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
-            c_path, "-o", tmp_so,
-        ]
-        for flags in (["-march=native"], []):
-            cmd = base[:1] + flags + base[1:]
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, timeout=120
-                )
-            except (OSError, subprocess.TimeoutExpired):
-                return None
-            if proc.returncode == 0:
-                try:
-                    os.replace(tmp_so, lib_path)
-                except OSError:
-                    return None
-                return lib_path
-    return None
-
-
-def _get_lib():
-    """The loaded cffi library (compiled on first use), or None."""
-    global _lib, _lib_failed
-    if _lib is not None or _lib_failed:
-        return _lib
-    if os.environ.get(DISABLE_ENV_VAR):
-        _lib_failed = True
-        return None
-    try:
-        import cffi
-    except ImportError:
-        _lib_failed = True
-        return None
-    lib_path = _compile_library()
-    if lib_path is None:
-        _lib_failed = True
-        return None
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        _lib = (ffi, ffi.dlopen(lib_path))
-    except (OSError, cffi.FFIError):
-        _lib_failed = True
-        return None
-    return _lib
+__all__ = ["LUKernel", "build_lu_kernel"]
 
 
 class LUKernel:
@@ -494,7 +239,7 @@ def build_lu_kernel(lu) -> Optional[LUKernel]:
     ``lu.solve`` rejects the kernel (returning ``None``) if results
     deviate beyond accumulated-roundoff tolerance.
     """
-    handle = _get_lib()
+    handle = get_lib()
     if handle is None:
         return None
     ffi, lib = handle

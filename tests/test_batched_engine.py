@@ -103,13 +103,14 @@ class TestKernel:
             single = kernel.solve(np.ascontiguousarray(rhs[:, b]))
             assert np.array_equal(batched[:, b], single)
 
-    def test_disable_env_forces_fallback(self, monkeypatch):
-        import repro.powergrid.fastsolve as fastsolve
+    def test_disable_env_forces_fallback(self, monkeypatch, chip):
+        import repro.utils.ckernel as ckernel
 
-        monkeypatch.setenv(fastsolve.DISABLE_ENV_VAR, "1")
-        monkeypatch.setattr(fastsolve, "_lib", None)
-        monkeypatch.setattr(fastsolve, "_lib_failed", False)
-        assert fastsolve._get_lib() is None
+        monkeypatch.setenv(ckernel.DISABLE_ENV_VAR, "1")
+        monkeypatch.setattr(ckernel, "_lib", None)
+        monkeypatch.setattr(ckernel, "_lib_failed", False)
+        assert ckernel.get_lib() is None
+        assert build_lu_kernel(chip.solver._lu) is None
 
 
 class TestSimulateMany:

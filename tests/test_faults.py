@@ -312,3 +312,14 @@ class TestSensorFaultStudy:
             assert trial.detect_latency >= 0
             assert trial.degraded_error == trial.fallback_error
         assert result.worst_degraded_error < 0.05
+
+    def test_unknown_mode_rejected_before_any_replay(self, fitted, monkeypatch):
+        import repro.experiments.robustness as robustness
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a stream was replayed")
+
+        monkeypatch.setattr(robustness, "FleetMonitor", no_replay)
+        ds, model = fitted
+        with pytest.raises(ValueError, match="'bogus'"):
+            run_sensor_fault_study(ds, model=model, modes=("dropout", "bogus"))

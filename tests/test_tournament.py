@@ -18,6 +18,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.experiments.robustness import FAULT_MODES
 from repro.experiments.tournament import (
     TournamentConfig,
     render_leaderboard_markdown,
@@ -150,6 +151,14 @@ def test_config_validation():
         TournamentConfig(fault_start=200, fault_cycles=100)
     with pytest.raises(ValueError):
         TournamentConfig(resistance_sigma=-0.1)
+
+
+def test_config_rejects_unknown_fault_mode():
+    # A misspelt mode must fail at construction, not read as every
+    # placer failing its fault scoring.
+    with pytest.raises(ValueError, match="'bogus'"):
+        TournamentConfig(placers=("worst_noise",), fault_modes=("dropout", "bogus"))
+    TournamentConfig(fault_modes=FAULT_MODES)
 
 
 def test_committed_leaderboard_meets_coverage_floor():
