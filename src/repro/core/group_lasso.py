@@ -54,6 +54,15 @@ __all__ = [
     "group_lasso_constrained",
 ]
 
+#: Relative margin by which :meth:`SufficientStats.ols_norm_floor` must
+#: exceed the budget limit before the slack check skips lstsq.  lstsq
+#: returns the rcond-truncated minimum-norm solution, which meets the
+#: normal equations ``S Bᵀ = A`` only up to rounding and the truncated
+#: directions; the floor already allows for both in absolute terms, and
+#: this margin covers the relative rounding, about (M + K)·eps, of the
+#: two norm sums being compared.
+OLS_FLOOR_MARGIN = 1e-6
+
 
 @dataclass
 class GroupLassoResult:
@@ -111,7 +120,8 @@ class SufficientStats:
     O(N·M²) or O(N·M·K) to build: compute once per (Z, G) pair and
     thread through every solve of a penalty path or budget bisection.
     Expensive derived quantities (the FISTA step-size bound, the OLS
-    slack-check solution) are computed lazily and cached too.
+    norm-sum floor and, when the floor cannot settle the slack check,
+    the OLS solution) are computed lazily and cached too.
 
     Attributes
     ----------
@@ -142,6 +152,7 @@ class SufficientStats:
     _lipschitz: Optional[float] = None
     _ols_coef: Optional[np.ndarray] = None
     _ols_norm_sum: float = 0.0
+    _ols_floor: Optional[float] = None
 
     @classmethod
     def from_arrays(
@@ -259,20 +270,26 @@ class SufficientStats:
         (via ``Zᵀ(Z Bᵀ)``, never forming ``S``) and O(M·a·K) dense.
         Row norms of the result drive both the KKT check on screened-out
         groups and the next strong-rule step.
+
+        The lazy product ``Zᵀ Y`` is taken as ``(Yᵀ Z)ᵀ``: the same
+        bits (pinned by tests), but BLAS then streams the row-major
+        ``Z`` once instead of walking it transposed.
         """
         if active.size == 0:
             return self.A.copy()
         Bat = coef[:, active].T
         if self.S is not None:
             return self.A - self.S[:, active] @ Bat
-        return self.A - self.Z.T @ (self.Z[:, active] @ Bat)
+        Y = self.Z[:, active] @ Bat
+        return self.A - (Y.T @ self.Z).T
 
     def ols(self, Z: np.ndarray, G: np.ndarray) -> Tuple[np.ndarray, float]:
         """Cached unpenalized least-squares solution and its norm sum.
 
         ``Z`` and ``G`` must be the arrays the statistics were built
         from; lstsq on the raw data is better conditioned than solving
-        the normal equations from ``S`` and ``A``.
+        the normal equations from ``S`` and ``A``.  Each lstsq run (not
+        a cache hit) counts into ``group_lasso.ols_slack_solves``.
         """
         if self._ols_coef is None:
             coef_t, *_ = np.linalg.lstsq(Z, G, rcond=None)
@@ -280,7 +297,62 @@ class SufficientStats:
             self._ols_norm_sum = float(
                 np.linalg.norm(self._ols_coef, axis=0).sum()
             )
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("group_lasso.ols_slack_solves").inc()
         return self._ols_coef, self._ols_norm_sum
+
+    def ols_norm_floor(self) -> float:
+        """Cached lower bound on ``sum_m ||B_m||`` of the OLS solution.
+
+        Every least-squares ``B`` solves the normal equations
+        ``S Bᵀ = A``, so for any ``(M, K)`` matrix ``W``
+
+        .. math::
+
+            \\langle W, A \\rangle = \\sum_m \\langle (SW)_m, B_m \\rangle
+            \\le \\max_m \\|(SW)_m\\| \\sum_m \\|B_m\\|.
+
+        With the row-normalized ``W_m = A_m / ||A_m||`` (0 where
+        ``A_m = 0``) the left side is ``sum_m ||A_m||``, so every exact
+        solution has a norm sum of at least
+        ``sum_m ||A_m|| / max_m ||(SW)_m||``, with equality for a single
+        group.  ``SW`` costs one ``S @ W`` when dense and two passes over
+        ``Z`` when lazy, against lstsq's O(N·M·min(N, M)).
+
+        The floor returned also bounds the solution :meth:`ols` returns,
+        which is not exact: lstsq zeroes singular values below
+        ``eps·max(N, M)·σ_max`` (and ``σ_max <= ||Z||_F``), ``A`` and
+        ``SW`` are rounded sums of at most ``N + M`` terms, and lstsq
+        is backward stable.  Assuming its backward error is at most
+        ``(N + M)·eps`` relative, each of these moves ``<W, A>`` by at
+        most ``(N + M)·eps·√M·||Z||_F·||G||_F`` and ``max_m ||(SW)_m||``
+        by at most ``(N + M)·eps·√M·||Z||_F²``; four times those
+        amounts are taken off the numerator and added to the
+        denominator (the floor is 0 when nothing is left).  What remains
+        is the relative rounding of the two norm sums, which
+        ``OLS_FLOOR_MARGIN`` covers.
+        """
+        if self._ols_floor is None:
+            row_norms = np.linalg.norm(self.A, axis=1)
+            W = np.divide(
+                self.A, row_norms[:, None],
+                out=np.zeros_like(self.A), where=row_norms[:, None] > 0,
+            )
+            if self.S is not None:
+                SW = self.S @ W
+            else:
+                SW = ((self.Z @ W).T @ self.Z).T
+            top = float(np.linalg.norm(SW, axis=1).max()) if SW.size else 0.0
+            z_sq = float(self.diag_S.sum())  # ||Z||_F²
+            unit = (
+                4.0 * (self.n_samples + self.n_features)
+                * np.finfo(float).eps * np.sqrt(self.n_features)
+            )
+            num = float(row_norms.sum()) - unit * np.sqrt(z_sq * self.gram_G)
+            den = top + unit * z_sq
+            self._ols_floor = num / den if num > 0.0 else 0.0
+        return self._ols_floor
 
 
 @dataclass
@@ -871,9 +943,10 @@ def _constrained(
 ) -> GroupLassoResult:
     """The actual constrained solve (see :func:`group_lasso_constrained`)."""
     check_positive(budget, "budget")
-    Z = check_matrix(Z, "Z")
-    G = check_matrix(G, "G", n_rows=Z.shape[0])
     if stats is None:
+        # from_arrays validates (Z, G); given stats were built from
+        # validated arrays, so Z and G are checked only where they are
+        # read below, in the lstsq branch of the slack check.
         stats = SufficientStats.from_arrays(Z, G, lazy=bool(screen))
     screener: Optional[StrongRuleScreener] = None
     if isinstance(screen, StrongRuleScreener):
@@ -897,28 +970,35 @@ def _constrained(
     # Slack check without a penalized solve: if even the unpenalized
     # (OLS) solution fits inside the budget, the constraint is inactive.
     # lstsq handles the highly correlated candidate columns exactly,
-    # where a first-order solver at mu ~ 0 would crawl.  The solution is
-    # cached on the stats, so bisections over budgets pay for it once.
-    ols_coef, ols_norm_sum = stats.ols(Z, G)
-    if ols_norm_sum <= budget * (1.0 + rtol):
-        if stats.is_lazy:
-            # No dense Gram to feed _objective; the raw residual is
-            # O(N·M·K) and exact.
-            resid = G - Z @ ols_coef.T
-            objective = 0.5 * float(np.sum(resid * resid))
-        else:
-            active = np.arange(n_features)
-            objective = _objective(
-                ols_coef, stats.S, stats.A, stats.gram_G, 0.0, active
+    # where a first-order solver at mu ~ 0 would crawl.  It runs only
+    # when the certified floor on every OLS norm sum (two passes over Z
+    # at most) cannot already prove the budget binds; the floor and any
+    # lstsq solution are cached on the stats, so a λ path pays for each
+    # at most once.
+    limit = budget * (1.0 + rtol)
+    if stats.ols_norm_floor() <= limit * (1.0 + OLS_FLOOR_MARGIN):
+        Z = check_matrix(Z, "Z")
+        G = check_matrix(G, "G", n_rows=Z.shape[0])
+        ols_coef, ols_norm_sum = stats.ols(Z, G)
+        if ols_norm_sum <= limit:
+            if stats.is_lazy:
+                # No dense Gram to feed _objective; the raw residual is
+                # O(N·M·K) and exact.
+                resid = G - Z @ ols_coef.T
+                objective = 0.5 * float(np.sum(resid * resid))
+            else:
+                active = np.arange(n_features)
+                objective = _objective(
+                    ols_coef, stats.S, stats.A, stats.gram_G, 0.0, active
+                )
+            return GroupLassoResult(
+                coef=ols_coef.copy(),
+                penalty=0.0,
+                budget=budget,
+                objective=objective,
+                n_iterations=0,
+                converged=True,
             )
-        return GroupLassoResult(
-            coef=ols_coef.copy(),
-            penalty=0.0,
-            budget=budget,
-            objective=objective,
-            n_iterations=0,
-            converged=True,
-        )
 
     # At B = 0 each group's activation threshold is ||A[m]||; above the
     # max no group activates.
@@ -1021,10 +1101,10 @@ def _constrained(
     # can only *understate* the norm sum — its relative-change
     # criterion may trigger while the coefficients are still growing),
     # but a feasible verdict whose norm sum has *stalled* is suspect:
-    # the OLS slack check already proved the true norm sum must grow
-    # past the budget as mu falls, so a frozen value means the loose
-    # solve stopped prematurely and must be polished before it may
-    # extend the walk.
+    # the slack check (its floor or lstsq) already proved the true norm
+    # sum must grow past the budget as mu falls, so a frozen value means
+    # the loose solve stopped prematurely and must be polished before it
+    # may extend the walk.
     prev_ns = 0.0
     for _ in range(120):
         mu = grid(k)

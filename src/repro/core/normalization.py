@@ -75,7 +75,12 @@ class Standardizer:
             raise ValueError(
                 f"data has {data.shape[-1]} columns, expected {self.mean_.shape[0]}"
             )
-        return (data - self.mean_) / self.scale_
+        # In place on the centred copy: the same division on the same
+        # values as ``(data - mean) / scale``, without a second
+        # data-sized temporary.
+        out = data - self.mean_
+        out /= self.scale_
+        return out
 
     def fit_transform(self, data: np.ndarray) -> np.ndarray:
         """Fit on ``data`` and return its normalized version."""

@@ -22,6 +22,20 @@ class TestStandardizer:
         std = Standardizer().fit(data)
         assert np.allclose(std.inverse_transform(std.transform(data)), data)
 
+    @pytest.mark.parametrize("shape", [(7,), (40, 7)])
+    def test_transform_bits_and_input_unchanged(self, shape):
+        # transform divides in place on the centred copy; the result
+        # must be the old (data - mean) / scale bit for bit.
+        rng = np.random.default_rng(2)
+        std = Standardizer().fit(3.0 + rng.standard_normal((50, 7)) * 1e-3)
+        data = 3.0 + rng.standard_normal(shape) * 1e-3
+        before = data.copy()
+        out = std.transform(data)
+        want = (before - std.mean_) / std.scale_
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.array_equal(data, before)
+        assert not np.shares_memory(out, data)
+
     def test_transform_new_data_uses_fit_stats(self):
         train = np.array([[0.0], [2.0]])
         std = Standardizer().fit(train)

@@ -24,6 +24,7 @@ from repro.core.lambda_sweep import sweep_lambda
 from repro.core.path_engine import LambdaPathEngine
 from repro.core.pipeline import PipelineConfig, fit_placement
 from repro.core.selection import prepare_stats, select_sensors
+from repro.obs import MetricsRegistry, use_registry
 
 from tests.conftest import make_synthetic_dataset
 
@@ -243,6 +244,17 @@ class TestScreenedFootprint:
             tracemalloc.stop()
         dense_gram = Z.shape[1] ** 2 * Z.itemsize  # 3,052 MB
         assert peak <= dense_gram / 5
+
+    def test_floor_decides_every_slack_check(self):
+        # On this 240 x 20,000 scope the certified floor on the OLS norm
+        # sum proves that every budget binds, so no lstsq slack solve
+        # runs.
+        Z, G = _problem(seed=1, n=240, m=20_000, active=8)
+        with use_registry(MetricsRegistry()) as registry:
+            _warm_sweep(Z, G, screen=True)
+            counters = registry.snapshot()["counters"]
+        assert counters["group_lasso.solves"] > 0
+        assert counters.get("group_lasso.ols_slack_solves", 0) == 0
 
     def test_faster_than_the_dense_sweep(self):
         Z, G = _problem(n=240, m=600, active=8)
