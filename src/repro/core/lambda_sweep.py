@@ -8,21 +8,20 @@ prediction performance").
 
 Sweeps and sensor-count bisections ride on the
 :class:`~repro.core.path_engine.LambdaPathEngine`: Gram statistics are
-computed once per scope, budgets are solved in ascending order with
-cross-budget warm starts, and ``n_jobs`` overlaps independent scopes'
-λ paths on a thread pool.  See ``docs/performance.md``.
+computed once per scope and budgets are solved in ascending order with
+cross-budget warm starts.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.obs import get_registry, span
 from repro.core.path_engine import LambdaPathEngine
-from repro.core.pipeline import PipelineConfig, PlacementModel, fit_placement
+from repro.core.pipeline import PipelineConfig, PlacementModel
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.metrics import max_absolute_error, mean_relative_error
 from repro.utils.rng import RngLike, make_rng
@@ -67,10 +66,12 @@ def sweep_lambda(
     base_config: Optional[PipelineConfig] = None,
     test_fraction: float = 0.25,
     rng: RngLike = None,
-    n_jobs: Optional[int] = None,
-    warm_start: bool = True,
 ) -> List[SweepPoint]:
     """Fit placements across a lambda range and score each.
+
+    Budgets share one :class:`~repro.core.path_engine.LambdaPathEngine`:
+    Gram statistics are computed once per scope and consecutive budgets
+    seed each other.
 
     Parameters
     ----------
@@ -92,16 +93,6 @@ def sweep_lambda(
         Held-out fraction for scoring.
     rng:
         Seed or generator for the split.
-    n_jobs:
-        Worker threads for overlapping independent scopes' λ paths
-        (defaults to ``base_config.n_jobs``; 1 = fully sequential).
-    warm_start:
-        When ``True`` (default) budgets share one
-        :class:`~repro.core.path_engine.LambdaPathEngine`: Gram
-        statistics are computed once per scope and consecutive budgets
-        seed each other.  ``False`` refits every budget independently
-        through :func:`~repro.core.pipeline.fit_placement`, a fresh
-        engine per budget (the benchmark baseline).
 
     Returns
     -------
@@ -115,16 +106,9 @@ def sweep_lambda(
     rng = make_rng(rng)
     train, test = dataset.train_test_split(test_fraction=test_fraction, rng=rng)
 
-    if warm_start:
-        engine = LambdaPathEngine(train, base_config, n_jobs=n_jobs)
-        with span("sweep.fit_path", n_budgets=len(budgets)):
-            models = engine.fit_path([float(b) for b in budgets])
-    else:
-        models = []
-        for budget in budgets:
-            config = replace(base_config, budget=float(budget))
-            with span("sweep.fit", budget=float(budget)):
-                models.append(fit_placement(train, config))
+    engine = LambdaPathEngine(train, base_config)
+    with span("sweep.fit_path", n_budgets=len(budgets)):
+        models = engine.fit_path([float(b) for b in budgets])
 
     points: List[SweepPoint] = []
     n_cores = max(1, len(dataset.core_ids))

@@ -25,7 +25,7 @@ from repro.obs import get_registry, span
 from repro.core.predictor import VoltagePredictor
 from repro.core.selection import DEFAULT_THRESHOLD, SelectionResult
 from repro.voltage.dataset import VoltageDataset
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = [
     "PipelineConfig",
@@ -53,12 +53,6 @@ class PipelineConfig:
         Budget-matching tolerance of the constrained GL solver (> 0).
     solver_max_iter, solver_tol:
         Inner FISTA controls (``solver_tol > 0``).
-    n_jobs:
-        Worker threads for fitting independent scopes (and, through
-        :func:`~repro.core.lambda_sweep.sweep_lambda`, independent λ
-        paths).  1 (default) keeps everything on the calling thread;
-        BLAS releases the GIL, so threads give real speedups on the
-        matmul-heavy solves without copying the dataset per worker.
     probe_tol:
         Tolerance (> 0) for the bracket-probe solves inside the
         constrained solver; the accepted solution is always
@@ -80,7 +74,6 @@ class PipelineConfig:
     rtol: float = 1e-2
     solver_max_iter: int = 20000
     solver_tol: float = 1e-7
-    n_jobs: int = 1
     probe_tol: Optional[float] = 1e-5
     screen: bool = False
 
@@ -91,7 +84,6 @@ class PipelineConfig:
         check_positive(self.solver_tol, "solver_tol")
         if self.probe_tol is not None:
             check_positive(self.probe_tol, "probe_tol")
-        check_integer(self.n_jobs, "n_jobs", minimum=1)
 
 
 @dataclass

@@ -10,18 +10,11 @@ Chains the substrates together:
 then identifies the noise-critical node of every block and assembles
 the (X, F) training dataset.
 
-Three execution modes generate the maps:
-
-* **sequential** (``batch=False``) — one benchmark at a time through
-  :meth:`TransientSolver.simulate`; the reference path every other
-  mode is validated against.
-* **batched** (the default) — all benchmarks integrate in lockstep
-  through :meth:`TransientSolver.simulate_many`, one multi-RHS LU
-  solve per timestep.
-* **process-parallel** (``n_jobs > 1``) — benchmarks are partitioned
-  over worker processes, each running the batched engine on its share;
-  results are reassembled in configuration order, so the output is
-  independent of ``n_jobs`` given the same engine mode.
+Maps come from one engine: every benchmark of a suite integrates in
+lockstep through :meth:`TransientSolver.simulate_many`, one multi-RHS
+LU solve per timestep.  When the train and eval suites share their
+step geometry and the compiled kernel runs (whose results do not
+depend on the batch width), both suites ride one fused batch.
 
 Generated datasets are cached on disk keyed by the configuration hash
 (:meth:`ExperimentSetup.cache_key`): point ``cache_dir`` (or the
@@ -33,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -114,60 +108,60 @@ def build_chip(config: ChipConfig) -> ChipModel:
     with span(
         "datagen.build_chip", template=config.template, n_cores=config.n_cores
     ):
-        return _build_chip(config)
-
-
-def _build_chip(config: ChipConfig) -> ChipModel:
-    template = XEON_CORE_TEMPLATE if config.template == "xeon" else SMALL_CORE_TEMPLATE
-    if config.template == "small":
-        floorplan = make_xeon_e5_floorplan(
-            core_cols=config.core_cols,
-            core_rows=config.core_rows,
-            core_width=2.4,
-            core_height=1.6,
-            channel=0.4,
-            periphery=0.4,
-            block_gap=0.08,
-            template=template,
-            name=f"small-{config.n_cores}core",
+        template = (
+            XEON_CORE_TEMPLATE if config.template == "xeon" else SMALL_CORE_TEMPLATE
         )
-    else:
-        floorplan = make_xeon_e5_floorplan(
-            core_cols=config.core_cols,
-            core_rows=config.core_rows,
-            template=template,
-            name=f"xeon-e5-like-{config.n_cores}core",
+        if config.template == "small":
+            floorplan = make_xeon_e5_floorplan(
+                core_cols=config.core_cols,
+                core_rows=config.core_rows,
+                core_width=2.4,
+                core_height=1.6,
+                channel=0.4,
+                periphery=0.4,
+                block_gap=0.08,
+                template=template,
+                name=f"small-{config.n_cores}core",
+            )
+        else:
+            floorplan = make_xeon_e5_floorplan(
+                core_cols=config.core_cols,
+                core_rows=config.core_rows,
+                template=template,
+                name=f"xeon-e5-like-{config.n_cores}core",
+            )
+        grid = PowerGrid.regular_mesh(
+            floorplan.chip.width,
+            floorplan.chip.height,
+            pitch=config.grid_pitch,
+            sheet_resistance=config.sheet_resistance,
+            cap_per_mm2=config.cap_per_mm2,
+            vdd=config.vdd,
+            pad_pitch=config.pad_pitch,
+            pad_resistance=config.pad_resistance,
+            pad_inductance=config.pad_inductance,
         )
-    grid = PowerGrid.regular_mesh(
-        floorplan.chip.width,
-        floorplan.chip.height,
-        pitch=config.grid_pitch,
-        sheet_resistance=config.sheet_resistance,
-        cap_per_mm2=config.cap_per_mm2,
-        vdd=config.vdd,
-        pad_pitch=config.pad_pitch,
-        pad_resistance=config.pad_resistance,
-        pad_inductance=config.pad_inductance,
-    )
-    classification = classify_nodes(floorplan, grid.coords)
-    solver = TransientSolver(grid, timestep=config.timestep)
-    mapper = CurrentMapper(floorplan, classification, grid.n_nodes, vdd=config.vdd)
-    power_model = McPATLikePowerModel(
-        floorplan,
-        PowerModelConfig(
-            core_peak_power=config.core_peak_power,
-            leakage_fraction=config.leakage_fraction,
-        ),
-    )
-    return ChipModel(
-        config=config,
-        floorplan=floorplan,
-        grid=grid,
-        classification=classification,
-        solver=solver,
-        mapper=mapper,
-        power_model=power_model,
-    )
+        classification = classify_nodes(floorplan, grid.coords)
+        solver = TransientSolver(grid, timestep=config.timestep)
+        mapper = CurrentMapper(
+            floorplan, classification, grid.n_nodes, vdd=config.vdd
+        )
+        power_model = McPATLikePowerModel(
+            floorplan,
+            PowerModelConfig(
+                core_peak_power=config.core_peak_power,
+                leakage_fraction=config.leakage_fraction,
+            ),
+        )
+        return ChipModel(
+            config=config,
+            floorplan=floorplan,
+            grid=grid,
+            classification=classification,
+            solver=solver,
+            mapper=mapper,
+            power_model=power_model,
+        )
 
 
 def _benchmark_load(
@@ -192,24 +186,6 @@ def _benchmark_load(
     return chip.mapper.bound(power)
 
 
-def _simulate_one(
-    chip: ChipModel, benchmark: str, data: DataConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Simulate one benchmark; returns (voltages, times) of its maps.
-
-    This is the sequential reference path: the batched and parallel
-    engines are validated against its output.
-    """
-    load = _benchmark_load(chip, benchmark, data)
-    result = chip.solver.simulate(
-        load,
-        n_steps=data.steps_per_benchmark,
-        record_every=data.record_every,
-        warmup_steps=data.warmup_steps,
-    )
-    return result.voltages.astype(np.float32), result.times
-
-
 def _record_pool(
     chip: ChipModel, data: DataConfig, n_loads: int
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -230,71 +206,57 @@ def _record_pool(
     return pool, views
 
 
-def _simulate_batch(
-    chip: ChipModel, names: Sequence[str], data: DataConfig, exact: bool
-) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Simulate ``names`` in lockstep.
+def _simulate_suites(
+    chip: ChipModel, suites: Sequence[DataConfig], verbose: bool
+) -> List[VoltageMapSet]:
+    """Simulate every benchmark of ``suites`` as one lockstep batch.
 
-    Returns the per-name ``(voltages, times)`` pairs plus the pooled
-    record array the voltages are views into (row blocks in ``names``
-    order).
+    The suites share the step geometry (steps, warmup, record cadence)
+    of the first one.  Two suites (train + eval) ride the same
+    multi-RHS solves, halving the factor traversals of a full dataset
+    generation; :func:`generate_dataset` fuses them only on the
+    compiled kernel, whose results do not depend on the batch width.
+    Returns one map pool per suite, in ``suites`` order.
     """
     registry = get_registry()
-    loads = TraceLoadBatch([_benchmark_load(chip, b, data) for b in names])
-    pool, record_out = _record_pool(chip, data, len(names))
+    geometry = suites[0]
+    loads = TraceLoadBatch(
+        [
+            _benchmark_load(chip, benchmark, data)
+            for data in suites
+            for benchmark in data.benchmarks
+        ]
+    )
+    pools = [_record_pool(chip, data, len(data.benchmarks)) for data in suites]
     with span(
         "datagen.batch_solve",
-        n_benchmarks=len(names),
-        n_steps=data.steps_per_benchmark,
-        exact=exact,
+        n_benchmarks=len(loads),
+        n_steps=geometry.steps_per_benchmark,
+        fused=len(suites) > 1,
     ):
         results = chip.solver.simulate_many(
             loads,
-            n_steps=data.steps_per_benchmark,
-            record_every=data.record_every,
-            warmup_steps=data.warmup_steps,
-            column_solve=exact,
-            record_out=record_out,
+            n_steps=geometry.steps_per_benchmark,
+            record_every=geometry.record_every,
+            warmup_steps=geometry.warmup_steps,
+            record_out=[view for _, views in pools for view in views],
         )
     registry.counter("datagen.batch_solve").inc()
-    return [(r.voltages, r.times) for r in results], pool
-
-
-def _parallel_worker(args: Tuple[ChipConfig, DataConfig, List[str], bool]) -> Dict:
-    """Worker entry point: rebuild the chip, run one batched share.
-
-    The LU factorization is not picklable, so each worker rebuilds the
-    chip from its :class:`ChipConfig` (cheap next to the simulation it
-    amortizes).  Metrics recorded in the worker cannot reach the
-    parent's registry, so the worker's whole registry snapshot is
-    returned and the parent folds it in with ``merge_snapshot`` — the
-    scoped ``use_registry`` keeps any registry a fork-started worker
-    inherited from the caller intact.
-    """
-    import repro.obs as obs
-
-    config, data, names, exact = args
-    with obs.use_registry(obs.MetricsRegistry()) as registry:
-        chip = _build_chip(config)
-        results, _ = _simulate_batch(chip, names, data, exact)
-        snapshot = registry.snapshot()
-    return {
-        "names": list(names),
-        "results": results,
-        "snapshot": snapshot,
-    }
+    if len(suites) > 1:
+        registry.counter("datagen.fused_batch").inc()
+    map_sets = []
+    for data, (pool, views) in zip(suites, pools):
+        names = list(data.benchmarks)
+        times = [r.times for r in results[: len(names)]]
+        results = results[len(names) :]
+        map_sets.append(_assemble_maps(names, data, pool, views, times, verbose))
+    return map_sets
 
 
 def generate_maps(
-    chip: ChipModel,
-    data: DataConfig,
-    verbose: bool = False,
-    *,
-    batch: bool = True,
-    n_jobs: int = 1,
-    exact: bool = False,
+    chip: ChipModel, data: DataConfig, verbose: bool = False
 ) -> VoltageMapSet:
-    """Simulate every benchmark and pool the sampled voltage maps.
+    """Simulate every benchmark of ``data`` and pool the sampled maps.
 
     Parameters
     ----------
@@ -302,58 +264,22 @@ def generate_maps(
         The chip model and generation configuration.
     verbose:
         Print per-benchmark progress.
-    batch:
-        Use the lockstep multi-RHS engine (default).  ``False`` runs
-        the sequential reference path.
-    n_jobs:
-        Worker processes; > 1 partitions the benchmarks round-robin
-        over processes each running the batched engine.  Output
-        ordering is always ``data.benchmarks`` order, independent of
-        ``n_jobs``.
-    exact:
-        Solve each benchmark's RHS column through SuperLU's single-RHS
-        kernel, making batched output bit-identical to the sequential
-        path (the default blocked kernel matches it to ~1 float64 ulp).
-        Only meaningful with ``batch=True`` or ``n_jobs > 1``.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    names = list(data.benchmarks)
-    registry = get_registry()
-
-    if n_jobs > 1 and len(names) > 1:
-        results = _maps_parallel(chip, names, data, min(n_jobs, len(names)), exact)
-    elif batch:
-        pairs, pool = _simulate_batch(chip, names, data, exact)
-        return _assemble_maps(names, data, pairs, verbose, voltages=pool)
-    else:
-        results = {}
-        for benchmark in names:
-            with span("datagen.benchmark", benchmark=benchmark) as sp:
-                results[benchmark] = _simulate_one(chip, benchmark, data)
-                sp.set_attribute("n_maps", int(results[benchmark][0].shape[0]))
-
-    return _assemble_maps(names, data, [results[b] for b in names], verbose)
+    return _simulate_suites(chip, [data], verbose)[0]
 
 
 def _assemble_maps(
     names: List[str],
     data: DataConfig,
-    pairs: List[Tuple[np.ndarray, np.ndarray]],
+    pool: np.ndarray,
+    views: List[np.ndarray],
+    times: List[np.ndarray],
     verbose: bool,
-    voltages: Optional[np.ndarray] = None,
 ) -> VoltageMapSet:
-    """Pool per-benchmark (voltages, times) pairs into a map set.
-
-    ``voltages`` may pass the already-pooled record array when the
-    pairs' voltage arrays are row-block views into it (in ``names``
-    order), skipping the stacking copy.
-    """
+    """Wrap one suite's pooled record array (``views`` are its
+    per-benchmark row blocks, in ``names`` order) into a map set."""
     registry = get_registry()
-    volts: List[np.ndarray] = []
-    labels: List[np.ndarray] = []
-    times: List[np.ndarray] = []
-    for idx, (benchmark, (v, t)) in enumerate(zip(names, pairs)):
+    for idx, (benchmark, v) in enumerate(zip(names, views)):
         registry.event(
             "datagen.benchmark",
             benchmark=benchmark,
@@ -361,117 +287,19 @@ def _assemble_maps(
             n_steps=data.steps_per_benchmark,
             min_voltage=float(v.min()),
         )
-        volts.append(v)
-        labels.append(np.full(v.shape[0], idx, dtype=np.int64))
-        times.append(t)
         if verbose:
             print(
                 f"  [{idx + 1}/{len(names)}] {benchmark}: {v.shape[0]} maps, "
                 f"min {v.min():.3f} V"
             )
-    if voltages is None:
-        voltages = np.vstack(volts)
-    elif voltages.shape[0] != sum(v.shape[0] for v in volts):
-        raise ValueError(
-            f"pooled voltages have {voltages.shape[0]} rows, "
-            f"pairs hold {sum(v.shape[0] for v in volts)}"
-        )
     return VoltageMapSet(
-        voltages=voltages,
-        benchmark_of_sample=np.concatenate(labels),
+        voltages=pool,
+        benchmark_of_sample=np.repeat(
+            np.arange(len(names), dtype=np.int64), [v.shape[0] for v in views]
+        ),
         benchmark_names=names,
         times=np.concatenate(times),
     )
-
-
-def _generate_maps_fused(
-    chip: ChipModel,
-    train: DataConfig,
-    eval_cfg: DataConfig,
-    verbose: bool,
-    exact: bool,
-) -> Tuple[VoltageMapSet, VoltageMapSet]:
-    """Simulate the train AND eval suites as one lockstep batch.
-
-    When both configs share the step geometry (steps, warmup, record
-    cadence) every benchmark of both pools can ride the same multi-RHS
-    solves, halving the number of factor traversals of a full dataset
-    generation.  Callers must ensure the solve path is width-invariant
-    (compiled kernel, or ``exact=True``) so fusing cannot perturb
-    results.
-    """
-    registry = get_registry()
-    names_t = list(train.benchmarks)
-    names_e = list(eval_cfg.benchmarks)
-    loads = TraceLoadBatch(
-        [_benchmark_load(chip, b, train) for b in names_t]
-        + [_benchmark_load(chip, b, eval_cfg) for b in names_e]
-    )
-    pool_t, views_t = _record_pool(chip, train, len(names_t))
-    pool_e, views_e = _record_pool(chip, eval_cfg, len(names_e))
-    with span(
-        "datagen.batch_solve",
-        n_benchmarks=len(loads),
-        n_steps=train.steps_per_benchmark,
-        exact=exact,
-        fused=True,
-    ):
-        results = chip.solver.simulate_many(
-            loads,
-            n_steps=train.steps_per_benchmark,
-            record_every=train.record_every,
-            warmup_steps=train.warmup_steps,
-            column_solve=exact,
-            record_out=views_t + views_e,
-        )
-    registry.counter("datagen.batch_solve").inc()
-    registry.counter("datagen.fused_batch").inc()
-    pairs = [(r.voltages, r.times) for r in results]
-    train_pool = _assemble_maps(
-        names_t, train, pairs[: len(names_t)], verbose, voltages=pool_t
-    )
-    eval_pool = _assemble_maps(
-        names_e, eval_cfg, pairs[len(names_t):], verbose, voltages=pool_e
-    )
-    return train_pool, eval_pool
-
-
-def _maps_parallel(
-    chip: ChipModel,
-    names: List[str],
-    data: DataConfig,
-    n_jobs: int,
-    exact: bool,
-) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Fan the benchmarks out over worker processes; aggregate metrics."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    registry = get_registry()
-    shares = [names[i::n_jobs] for i in range(n_jobs)]
-    results: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    with span("datagen.parallel", n_jobs=n_jobs, n_benchmarks=len(names)):
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            payloads = list(
-                pool.map(
-                    _parallel_worker,
-                    [(chip.config, data, share, exact) for share in shares],
-                )
-            )
-    for worker_id, payload in enumerate(payloads):
-        registry.merge_snapshot(payload["snapshot"])
-        registry.event(
-            "obs.worker",
-            source="datagen",
-            worker=worker_id,
-            benchmarks=list(payload["names"]),
-            snapshot=payload["snapshot"],
-        )
-        for benchmark, result in zip(payload["names"], payload["results"]):
-            results[benchmark] = result
-    missing = [b for b in names if b not in results]
-    if missing:  # pragma: no cover - defensive
-        raise RuntimeError(f"parallel generation lost benchmarks: {missing}")
-    return results
 
 
 def build_dataset(
@@ -609,7 +437,9 @@ def _load_cached_dataset(
         eval_ds = load_dataset(os.path.join(directory, "eval.npz"), dtype=np.float64)
         critical = {str(k): int(v) for k, v in meta["critical"].items()}
         return train, eval_ds, critical
-    except (OSError, ValueError, KeyError, json.JSONDecodeError):
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        # A truncated or empty archive (a write cut short) reads as
+        # BadZipFile / EOFError: a miss, regenerated and rewritten.
         return None
 
 
@@ -621,8 +451,12 @@ def _store_cached_dataset(
     critical: Dict[str, int],
 ) -> None:
     """Write one cache entry; meta.json lands last so readers never see
-    a partially written entry as valid."""
+    a partially written entry as valid.  A rewrite removes the old
+    meta.json first, so it cannot vouch for half-rewritten archives."""
     os.makedirs(directory, exist_ok=True)
+    meta_path = os.path.join(directory, "meta.json")
+    if os.path.exists(meta_path):
+        os.remove(meta_path)
     save_dataset(os.path.join(directory, "train.npz"), train)
     save_dataset(os.path.join(directory, "eval.npz"), eval_ds)
     meta = {
@@ -634,16 +468,13 @@ def _store_cached_dataset(
     tmp_path = os.path.join(directory, "meta.json.tmp")
     with open(tmp_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    os.replace(tmp_path, os.path.join(directory, "meta.json"))
+    os.replace(tmp_path, meta_path)
 
 
 def generate_dataset(
     setup: ExperimentSetup,
     verbose: bool = False,
     *,
-    batch: bool = True,
-    n_jobs: int = 1,
-    exact: bool = False,
     cache_dir: Optional[str] = None,
     refresh: bool = False,
 ) -> GeneratedData:
@@ -658,8 +489,6 @@ def generate_dataset(
         The experiment profile.
     verbose:
         Print per-benchmark progress.
-    batch, n_jobs, exact:
-        Map-generation engine controls; see :func:`generate_maps`.
     cache_dir:
         Dataset cache root; defaults to the ``REPRO_DATASET_CACHE``
         environment variable, and caching is disabled when neither is
@@ -707,29 +536,24 @@ def generate_dataset(
         # does not depend on the batch width, train and eval suites ride
         # one fused lockstep batch — half the factor traversals.
         fused = (
-            batch
-            and n_jobs == 1
-            and setup.train.steps_per_benchmark == setup.eval.steps_per_benchmark
+            setup.train.steps_per_benchmark == setup.eval.steps_per_benchmark
             and setup.train.warmup_steps == setup.eval.warmup_steps
             and setup.train.record_every == setup.eval.record_every
-            and (chip.solver.uses_kernel or exact)
+            and chip.solver.uses_kernel
         )
         eval_pool: Optional[VoltageMapSet] = None
         if fused:
             if verbose:
                 print("simulating train+eval benchmarks (fused batch)...")
             with span("datagen.fused_maps"):
-                train_pool, eval_pool = _generate_maps_fused(
-                    chip, setup.train, setup.eval, verbose=verbose, exact=exact
+                train_pool, eval_pool = _simulate_suites(
+                    chip, [setup.train, setup.eval], verbose
                 )
         else:
             if verbose:
                 print("simulating training benchmarks...")
             with span("datagen.train_maps"):
-                train_pool = generate_maps(
-                    chip, setup.train, verbose=verbose,
-                    batch=batch, n_jobs=n_jobs, exact=exact,
-                )
+                train_pool = generate_maps(chip, setup.train, verbose=verbose)
         n_train = min(setup.train.n_samples, train_pool.n_samples)
         train_maps = sample_maps(train_pool, n_train, rng=setup.train.seed)
         critical = select_critical_nodes(train_maps.voltages, chip.classification)
@@ -740,10 +564,7 @@ def generate_dataset(
             if verbose:
                 print("simulating evaluation benchmarks...")
             with span("datagen.eval_maps"):
-                eval_pool = generate_maps(
-                    chip, setup.eval, verbose=verbose,
-                    batch=batch, n_jobs=n_jobs, exact=exact,
-                )
+                eval_pool = generate_maps(chip, setup.eval, verbose=verbose)
         n_eval = min(setup.eval.n_samples, eval_pool.n_samples)
         eval_maps = sample_maps(eval_pool, n_eval, rng=setup.eval.seed)
         eval_ds = build_dataset(chip, eval_maps, critical)
@@ -814,5 +635,12 @@ def simulate_benchmark_trace(
             warmup_steps=50 if warmup_steps is None else warmup_steps,
             **overrides,
         )
-    voltages, times = _simulate_one(chip, benchmark, data)
-    return np.asarray(voltages, dtype=float), times
+    result = chip.solver.simulate(
+        _benchmark_load(chip, benchmark, data),
+        n_steps=data.steps_per_benchmark,
+        record_every=data.record_every,
+        warmup_steps=data.warmup_steps,
+    )
+    # Rounded through float32 like the map pools, so a trace carries
+    # the precision of the training maps.
+    return result.voltages.astype(np.float32).astype(float), result.times

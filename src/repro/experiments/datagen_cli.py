@@ -45,29 +45,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="suppress per-benchmark progress output",
     )
-    parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for benchmark simulation (default 1: "
-        "in-process batched engine)",
-    )
-    parser.add_argument(
-        "--exact",
-        action="store_true",
-        help="per-column LU solves: bit-identical to the sequential "
-        "reference path at ~half the batched solve throughput",
-    )
     args = parser.parse_args(argv)
-    if args.n_jobs < 1:
-        parser.error("--n-jobs must be >= 1")
 
     setup = PAPER_SETUP if args.profile == "paper" else FAST_SETUP
     t0 = time.time()
-    data = generate_dataset(
-        setup, verbose=not args.quiet, n_jobs=args.n_jobs, exact=args.exact
-    )
+    data = generate_dataset(setup, verbose=not args.quiet)
     os.makedirs(args.out, exist_ok=True)
     train_path = os.path.join(args.out, "train.npz")
     eval_path = os.path.join(args.out, "eval.npz")

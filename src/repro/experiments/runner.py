@@ -59,7 +59,6 @@ def run_experiment(
     data: GeneratedData,
     out_dir: Optional[str] = None,
     setup: Optional[ExperimentSetup] = None,
-    n_jobs: int = 1,
 ) -> str:
     """Run one experiment by name; returns its rendered report.
 
@@ -75,13 +74,9 @@ def run_experiment(
         The profile the run uses.  Only the ``extensions`` experiment
         needs it (it regenerates its own datasets while varying the
         chip); defaults to :data:`FAST_SETUP` when omitted.
-    n_jobs:
-        Worker threads for experiments that fit independent scopes
-        (currently the ``table1`` λ sweep); 1 keeps everything on the
-        calling thread.
     """
-    with obs.span(f"experiment.{name}", n_jobs=n_jobs):
-        return _run_experiment(name, data, out_dir, setup, n_jobs)
+    with obs.span(f"experiment.{name}"):
+        return _run_experiment(name, data, out_dir, setup)
 
 
 def _run_experiment(
@@ -89,7 +84,6 @@ def _run_experiment(
     data: GeneratedData,
     out_dir: Optional[str],
     setup: Optional[ExperimentSetup],
-    n_jobs: int = 1,
 ) -> str:
     t0 = time.time()
     if name == "fig1":
@@ -101,7 +95,7 @@ def _run_experiment(
             "selected": {str(b): result.selected[b] for b in result.budgets},
         }
     elif name == "table1":
-        result = run_table1(data, n_jobs=n_jobs)
+        result = run_table1(data)
         text = render_table1(result)
         payload = {
             "budgets": result.budgets,
@@ -229,14 +223,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "summary, solver convergence stats) to this JSON file",
     )
     parser.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for independent fitting scopes (table1 "
-        "λ sweep); 1 (default) is fully sequential",
-    )
-    parser.add_argument(
         "--trace-jsonl",
         default=None,
         metavar="EVENTS.jsonl",
@@ -251,14 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "repeated runs of the same profile skip simulation)",
     )
     parser.add_argument(
-        "--datagen-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for benchmark transient simulation "
-        "(1 = in-process batched engine)",
-    )
-    parser.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -270,10 +248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.report and args.out is None:
         parser.error("--report requires --out")
-    if args.n_jobs < 1:
-        parser.error("--n-jobs must be >= 1")
-    if args.datagen_jobs < 1:
-        parser.error("--datagen-jobs must be >= 1")
 
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     for name in names:
@@ -292,26 +266,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"metrics: {server.url}/metrics")
         print(f"profile: {setup.name}")
         t0 = time.time()
-        data = generate_dataset(
-            setup,
-            verbose=True,
-            n_jobs=args.datagen_jobs,
-            cache_dir=args.cache_dir,
-        )
+        data = generate_dataset(setup, verbose=True, cache_dir=args.cache_dir)
         print(f"data generated in {time.time() - t0:.1f}s: {data.train.summary()}")
 
         try:
             for name in names:
                 print("\n" + "=" * 78)
-                print(
-                    run_experiment(
-                        name,
-                        data,
-                        out_dir=args.out,
-                        setup=setup,
-                        n_jobs=args.n_jobs,
-                    )
-                )
+                print(run_experiment(name, data, out_dir=args.out, setup=setup))
         finally:
             if sink is not None:
                 sink.close()

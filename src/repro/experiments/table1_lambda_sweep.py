@@ -57,7 +57,6 @@ def run_table1(
     data: GeneratedData,
     budgets: Sequence[float] = DEFAULT_BUDGETS,
     base_config: Optional[PipelineConfig] = None,
-    n_jobs: Optional[int] = None,
 ) -> Table1Result:
     """Run the lambda sweep and score on the evaluation dataset.
 
@@ -70,9 +69,6 @@ def run_table1(
         Lambda values (ascending recommended).
     base_config:
         Pipeline template (default: per-core, paper T).
-    n_jobs:
-        Worker threads for independent scopes' λ paths (defaults to
-        the config's ``n_jobs``).
     """
     points = sweep_lambda(
         data.train,
@@ -80,7 +76,6 @@ def run_table1(
         base_config=base_config,
         test_fraction=0.25,
         rng=1,
-        n_jobs=n_jobs,
     )
     eval_errors = [
         mean_relative_error(p.model.predict(data.eval.X), data.eval.F)

@@ -34,7 +34,6 @@ or scoped, e.g. in tests::
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -82,24 +81,15 @@ __all__ = [
     "enable",
     "disable",
     "use_registry",
-    "thread_registry",
 ]
 
 #: The process-global registry; null (disabled) until enabled.
 _default_registry = MetricsRegistry(enabled=False)
 
-#: Per-thread registry override (see :func:`thread_registry`).
-_thread_override = threading.local()
-
 
 def get_registry() -> MetricsRegistry:
-    """The registry instrumented code records into.
-
-    A per-thread override installed by :func:`thread_registry` wins
-    over the process-global registry; everything else sees the global.
-    """
-    override = getattr(_thread_override, "registry", None)
-    return _default_registry if override is None else override
+    """The process-global registry instrumented code records into."""
+    return _default_registry
 
 
 def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
@@ -130,22 +120,3 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         set_registry(previous)
-
-
-@contextmanager
-def thread_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Route this thread's recording into ``registry`` (restored on exit).
-
-    Unlike :func:`use_registry` (which swaps the process-global
-    registry), the override is visible only to the calling thread —
-    worker threads record into private scratch registries and the
-    parent folds them back with
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge_registry`, turning
-    shared-lock contention into one exact merge per scope.
-    """
-    previous = getattr(_thread_override, "registry", None)
-    _thread_override.registry = registry
-    try:
-        yield registry
-    finally:
-        _thread_override.registry = previous

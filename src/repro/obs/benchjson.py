@@ -37,7 +37,7 @@ MODES = ("datagen", "tournament", "surrogate")
 #: Fields every report of a mode must carry to be considered valid.
 _REQUIRED_FIELDS = {
     "datagen": (
-        "reference_s", "optimized_s", "speedup", "equality",
+        "optimized_s", "cache_cold_s", "cache_warm_s", "cache_equality",
         "counters", "problems",
     ),
     "tournament": ("budget", "placers", "scenarios", "entries", "problems"),
@@ -131,12 +131,8 @@ def normalize_bench(doc: Dict[str, Any]) -> Dict[str, Any]:
     if mode == "datagen":
         _scalar(
             scalars, doc,
-            "reference_s", "optimized_s", "speedup",
-            "cache_cold_s", "cache_warm_s", "cache_speedup",
+            "optimized_s", "cache_cold_s", "cache_warm_s", "cache_speedup",
         )
-        equality = doc.get("equality", {})
-        if isinstance(equality, dict):
-            _scalar(scalars, equality, "max_ulp32")
     elif mode == "tournament":
         for entry in doc.get("entries", []):
             placer = entry.get("placer")

@@ -55,9 +55,9 @@ def convergence_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
 def worker_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
     """Per-worker/per-shard telemetry harvested from ``obs.worker`` events.
 
-    Parallel drivers (``generate_maps(n_jobs=)``, ``FleetMonitor``)
-    emit one ``obs.worker`` event per child after merging its registry
-    snapshot back into the parent; each entry keeps the ``source``, the
+    Parallel drivers (``ShardedFleet``, ``FleetMonitor``) emit one
+    ``obs.worker`` event per child after merging its registry snapshot
+    back into the parent; each entry keeps the ``source``, the
     worker/shard id, and the child's full metrics snapshot (so a
     manifest can show merged totals *and* the per-worker breakdown).
     """
@@ -75,9 +75,8 @@ def shard_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
     sharded serving fleet emits one per worker process at
     ``ShardedFleet.finish``) and keeps, per shard, the scalar roll-up
     fields (streams, cycles, frames, slots, events, failovers, model
-    version) next to the shard's merged metrics snapshot.  Plain
-    ``n_jobs`` workers (no ``shard`` label) stay in
-    :func:`worker_stats` only.
+    version) next to the shard's merged metrics snapshot.  Worker
+    events without a ``shard`` label stay in :func:`worker_stats` only.
     """
     stats: List[Dict[str, Any]] = []
     for event in registry.events_named(WORKER_EVENT):

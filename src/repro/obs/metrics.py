@@ -8,11 +8,10 @@ or renders the timers as an ASCII table.
 Every instrument is **mergeable**: ``snapshot()`` returns a JSON-ready
 state dict and ``merge()`` folds such a snapshot back in *exactly* —
 counter totals add as integers and timer histograms add bucket counts,
-so N worker processes (or scope threads) can each record into a private
-registry and the parent's merged percentiles are bit-identical to a
-single registry that pooled every sample.  This is what the parallel
-data-generation workers, the λ-path engine's scope threads, and the
-fleet monitor's per-shard latency stats ride on.
+so N worker processes can each record into a private registry and the
+parent's merged percentiles are bit-identical to a single registry
+that pooled every sample.  This is what the sharded serving fleet's
+workers and the fleet monitor's per-shard latency stats ride on.
 
 Two registry modes exist:
 
@@ -46,8 +45,8 @@ SNAPSHOT_SCHEMA = "repro.obs.snapshot/v1"
 class Counter:
     """A monotonically increasing counter.
 
-    Thread-safe: increments from concurrent fitting workers (e.g. the
-    path engine's scope threads) aggregate without losing updates.
+    Thread-safe: increments from concurrent threads aggregate without
+    losing updates.
     """
 
     __slots__ = ("name", "value", "_lock")
@@ -484,33 +483,6 @@ class MetricsRegistry:
             self.gauge(name).merge(value)
         for name, state in snapshot.get("timers", {}).items():
             self.timer(name).merge(state)
-
-    def merge_registry(self, child: "MetricsRegistry") -> None:
-        """Merge a live child registry: metrics, spans *and* events.
-
-        Used for thread scopes (the λ-path engine's workers), where the
-        child object is in-process: metrics merge via
-        :meth:`merge_snapshot`, span records are appended as-is, and
-        events are re-sequenced into this registry's stream and
-        forwarded to its sinks.  Event ``t_s`` values stay relative to
-        the *child's* epoch.
-        """
-        if not self.enabled:
-            return
-        self.merge_snapshot(child.snapshot())
-        with self._lock:
-            self.spans.extend(child.spans)
-            merged = []
-            for event in child.events:
-                record = dict(event)
-                record["seq"] = self._event_seq
-                self._event_seq += 1
-                self.events.append(record)
-                merged.append(record)
-            sinks = list(self._sinks)
-        for record in merged:
-            for sink in sinks:
-                sink.emit(record)
 
     def reset(self) -> None:
         """Drop all instruments, spans and events (sinks are kept)."""

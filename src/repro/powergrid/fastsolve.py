@@ -21,8 +21,8 @@ regardless of the batch width ``B`` (the batch dimension is the inner
 loop).  Solving ``(n,)``, ``(n, 1)`` or column ``b`` of ``(n, B)``
 therefore produces bit-identical results — unlike SuperLU, whose
 blocked multi-RHS path differs from its single-RHS path by ~1 ulp and
-depends on the batch composition.  The transient solver routes *every*
-integration mode (sequential reference, batched, process-parallel)
+depends on the batch composition.  The transient solver routes both
+entry points (single-load ``simulate`` and lockstep ``simulate_many``)
 through one kernel instance, so their outputs are bit-identical.
 
 The kernel requires a factorization computed **without equilibration**

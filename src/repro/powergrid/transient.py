@@ -12,9 +12,9 @@ as per-pad solver state.
 
 Two integration entry points exist:
 
-* :meth:`TransientSolver.simulate` — one benchmark, one triangular
-  solve per timestep.  This is the *reference implementation*: every
-  other path is validated against it.
+* :meth:`TransientSolver.simulate` — one load, one triangular solve
+  per timestep.  This is the single-load API and the *reference
+  implementation* the batched engine is tested against.
 * :meth:`TransientSolver.simulate_many` — all benchmarks in lockstep.
   The per-benchmark right-hand sides are stacked into an
   ``(n_nodes, n_benchmarks)`` matrix and each timestep performs ONE
@@ -26,12 +26,11 @@ Both entry points route their triangular solves through the same
 runtime-compiled kernel (:mod:`repro.powergrid.fastsolve`) when it is
 available, which walks the factors once per step for *all* benchmarks
 and — because its per-column operation sequence does not depend on the
-batch width — makes every integration mode bit-identical to the
-sequential reference.  Without the kernel (no C compiler, or
-``REPRO_DISABLE_CKERNEL`` set) solves fall back to ``SuperLU.solve``;
-there ``column_solve=True`` recovers bit-identity with
-:meth:`simulate` at roughly half the throughput of SuperLU's blocked
-multi-RHS path (which matches the reference to ~1 float64 ulp).
+batch width — makes the batched engine bit-identical to the
+reference.  Without the kernel (no C compiler, or
+``REPRO_DISABLE_CKERNEL`` set) solves fall back to SuperLU's blocked
+multi-RHS ``solve``, which matches the reference to ~1 float64 ulp
+per step.
 """
 
 from __future__ import annotations
@@ -383,9 +382,7 @@ class TransientSolver:
         warmup_steps: int = 0,
         v0: Optional[np.ndarray] = None,
         pad_current0: Optional[np.ndarray] = None,
-        column_solve: bool = False,
         chunk_steps: int = 64,
-        record_dtype: Optional[np.dtype] = None,
         record_out: Optional[Sequence[np.ndarray]] = None,
     ) -> List[TransientResult]:
         """Integrate many benchmarks in lockstep against one factorization.
@@ -418,29 +415,18 @@ class TransientSolver:
             ``(n_pads, n_benchmarks)`` pad currents.  When omitted each
             benchmark starts at the DC operating point of its own
             step-0 load, exactly like :meth:`simulate`.
-        column_solve:
-            Only meaningful on the SuperLU fallback path (compiled
-            kernel unavailable): ``True`` solves each benchmark's
-            column separately through SuperLU's single-RHS kernel —
-            bit-identical to :meth:`simulate`, at roughly half the
-            solve throughput of the blocked multi-RHS kernel (which
-            matches the reference to ~1 float64 ulp per step).  With
-            the compiled kernel every batch width is already
-            bit-identical to the reference, so the flag is ignored.
         chunk_steps:
             Load-precompute granularity in steps; bounds the transient
             load buffer.  Has no effect on results.
-        record_dtype:
-            dtype of the recorded voltage arrays (default float64).
-            Recording float32 halves the footprint of map generation
-            and rounds exactly like a post-hoc ``astype``.
         record_out:
             Optional pre-allocated record buffers, one
-            ``(n_records, n_recorded)`` array per load (all the same
-            dtype, which overrides ``record_dtype``).  Passing slices
-            of one pooled array lets callers assemble a full dataset
-            with zero post-hoc copies; the returned results'
-            ``voltages`` are these buffers.
+            ``(n_records, n_recorded)`` array per load, all of one
+            dtype (float64 when omitted).  Recording into float32
+            buffers halves the footprint of map generation and rounds
+            exactly like a post-hoc ``astype``; passing slices of one
+            pooled array lets callers assemble a full dataset with zero
+            post-hoc copies.  The returned results' ``voltages`` are
+            these buffers.
 
         Returns
         -------
@@ -501,7 +487,7 @@ class TransientSolver:
                         f"{buf.dtype}"
                     )
         else:
-            dtype = np.float64 if record_dtype is None else np.dtype(record_dtype)
+            dtype = np.float64
             records = [
                 np.empty((n_records, n_recorded), dtype=dtype) for _ in range(n_b)
             ]
@@ -588,9 +574,6 @@ class TransientSolver:
                 self._inject_pads(rhs, inj)
                 if kernel is not None:
                     v = kernel.solve(rhs, out=x_buf, work=work)
-                elif column_solve:
-                    for b in range(n_b):
-                        v[:, b] = self._lu.solve(np.ascontiguousarray(rhs[:, b]))
                 else:
                     v = self._lu.solve(rhs)
                 np.take(v, self._pad_nodes, axis=0, out=vp)

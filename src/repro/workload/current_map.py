@@ -80,8 +80,8 @@ class TraceLoad:
     """A stateless, picklable load: one benchmark's node-current trace.
 
     Bundles the distribution matrix, one benchmark's block-power array
-    and VDD, so it can be shipped to worker processes and handed to
-    either :meth:`TransientSolver.simulate` (via :meth:`__call__`) or
+    and VDD, so it can be handed to either
+    :meth:`TransientSolver.simulate` (via :meth:`__call__`) or
     :meth:`TransientSolver.simulate_many` (via
     :meth:`currents_between`, which converts a whole step range with a
     single sparse-dense matmul instead of one matvec per step).
@@ -227,8 +227,8 @@ class CurrentMapper:
     def bound(self, traces: BlockPowerTraces) -> TraceLoad:
         """Package ``traces`` as a stateless, picklable :class:`TraceLoad`.
 
-        The mapper itself stays untouched, so one mapper serves many
-        benchmarks concurrently (the batched and process-parallel
-        generation paths depend on that).
+        The mapper itself stays untouched, so one mapper serves every
+        benchmark of a lockstep batch (the batched generation path
+        depends on that).
         """
         return TraceLoad(self.distribution, traces.power, self.vdd)

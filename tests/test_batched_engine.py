@@ -1,9 +1,9 @@
 """Tests for the batched transient engine and the dataset cache.
 
 Covers the compiled multi-RHS kernel (repro.powergrid.fastsolve), the
-lockstep ``simulate_many`` path against the sequential reference, the
-fused load batch, process-parallel map generation, and the config-hash
-dataset cache.
+lockstep ``simulate_many`` path and the map pools of ``generate_maps``
+and the fused train+eval batch against the per-benchmark ``simulate``
+reference, the fused load batch, and the config-hash dataset cache.
 """
 
 import json
@@ -14,10 +14,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import repro.obs as obs
 from repro.experiments.config import ChipConfig, DataConfig, ExperimentSetup
 from repro.experiments.data_generation import (
     _benchmark_load,
+    _simulate_suites,
     build_chip,
     dataset_cache_path,
     generate_dataset,
@@ -201,19 +201,6 @@ class TestSimulateMany:
                 batch, n_steps=10, v0=np.zeros(3), pad_current0=np.zeros(3)
             )
 
-    def test_superlu_fallback_column_solve_bit_identical(self, batch):
-        solver = build_chip(TINY_SETUP.chip).solver
-        solver._kernel = None  # simulate an unavailable C toolchain
-        results = solver.simulate_many(
-            batch,
-            n_steps=20,
-            warmup_steps=5,
-            column_solve=True,
-        )
-        for b, load in enumerate(batch.loads):
-            ref = solver.simulate(load, n_steps=20, warmup_steps=5)
-            assert np.array_equal(results[b].voltages, ref.voltages)
-
 
 class TestTraceLoadBatch:
     def test_chunk_columns_match_currents_at(self, batch):
@@ -246,23 +233,58 @@ class TestTraceLoadBatch:
         assert np.array_equal(load.currents_at(4), batch[0].currents_at(4))
 
 
-class TestGenerateMapsEngines:
-    def test_batch_matches_sequential(self, chip):
-        seq = generate_maps(chip, DATA, batch=False)
-        bat = generate_maps(chip, DATA, batch=True)
-        assert np.array_equal(seq.voltages, bat.voltages)
+def _max_ulp32(a, b):
+    """Largest float32 ulp distance between two positive voltage arrays."""
+    ai = np.asarray(a, dtype=np.float32).view(np.int32).astype(np.int64)
+    bi = np.asarray(b, dtype=np.float32).view(np.int32).astype(np.int64)
+    return int(np.max(np.abs(ai - bi), initial=0))
 
-    def test_parallel_matches_sequential(self, chip):
-        registry = obs.enable()
-        try:
-            par = generate_maps(chip, DATA, n_jobs=2)
-            counters = registry.snapshot()["counters"]
-            # Worker-side counters must be aggregated into the parent.
-            assert counters.get("datagen.batch_solve", 0) >= 2
-        finally:
-            obs.disable()
-        seq = generate_maps(chip, DATA, batch=False)
-        assert np.array_equal(par.voltages, seq.voltages)
+
+def _reference_pool(chip, data):
+    """Per-benchmark ``simulate`` runs, stacked like a map pool, float32."""
+    return np.vstack(
+        [
+            chip.solver.simulate(
+                _benchmark_load(chip, benchmark, data),
+                n_steps=data.steps_per_benchmark,
+                record_every=data.record_every,
+                warmup_steps=data.warmup_steps,
+            ).voltages.astype(np.float32)
+            for benchmark in data.benchmarks
+        ]
+    )
+
+
+@pytest.fixture(scope="module", params=["kernel", "superlu"])
+def engine(request, chip):
+    """(chip, allowed float32 ulp) for each solve path of the engine."""
+    if request.param == "kernel":
+        return chip, 0
+    fallback = build_chip(TINY_SETUP.chip)
+    fallback.solver._kernel = None  # SuperLU's blocked multi-RHS solve
+    return fallback, 1
+
+
+class TestEngineVsReference:
+    """Map pools of the lockstep engine against per-benchmark
+    ``simulate`` runs: 0 float32 ulp on the compiled kernel, at most 1
+    on the SuperLU fallback."""
+
+    def test_generate_maps_matches_reference(self, engine):
+        chip, allowed = engine
+        pool = generate_maps(chip, DATA).voltages
+        reference = _reference_pool(chip, DATA)
+        assert pool.shape == reference.shape
+        assert _max_ulp32(pool, reference) <= allowed
+
+    def test_fused_batch_matches_reference(self, engine):
+        chip, allowed = engine
+        suites = [CACHE_SETUP.train, CACHE_SETUP.eval]
+        pools = _simulate_suites(chip, suites, verbose=False)
+        for pool, data in zip(pools, suites):
+            reference = _reference_pool(chip, data)
+            assert pool.voltages.shape == reference.shape
+            assert _max_ulp32(pool.voltages, reference) <= allowed
 
 
 class TestDatasetCache:
@@ -312,6 +334,39 @@ class TestDatasetCache:
         assert not result.from_cache
         with open(meta, "r", encoding="utf-8") as fh:
             assert json.load(fh)["cache_key"] == CACHE_SETUP.cache_key()
+
+    @pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
+    def test_unreadable_archive_regenerates(self, tmp_path, keep):
+        # An archive cut short (half of it, or all of it) is a miss: the
+        # next call regenerates and leaves a readable entry behind.
+        cache = str(tmp_path)
+        first = generate_dataset(CACHE_SETUP, cache_dir=cache)
+        archive = os.path.join(
+            dataset_cache_path(CACHE_SETUP, cache), "train.npz"
+        )
+        with open(archive, "r+b") as fh:
+            fh.truncate(int(os.path.getsize(archive) * keep))
+        again = generate_dataset(CACHE_SETUP, cache_dir=cache)
+        assert not again.from_cache
+        assert np.array_equal(first.train.X, again.train.X)
+        assert generate_dataset(CACHE_SETUP, cache_dir=cache).from_cache
+
+    def test_interrupted_rewrite_is_a_miss(self, tmp_path, monkeypatch):
+        # A rewrite drops the old meta.json before touching the
+        # archives, so one that dies midway cannot leave a valid entry.
+        import repro.experiments.data_generation as data_generation
+
+        cache = str(tmp_path)
+        generate_dataset(CACHE_SETUP, cache_dir=cache)
+
+        def fail(path, dataset):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(data_generation, "save_dataset", fail)
+        with pytest.raises(OSError, match="disk full"):
+            generate_dataset(CACHE_SETUP, cache_dir=cache, refresh=True)
+        monkeypatch.undo()
+        assert not generate_dataset(CACHE_SETUP, cache_dir=cache).from_cache
 
     def test_refresh_regenerates_identically(self, tmp_path):
         cache = str(tmp_path)

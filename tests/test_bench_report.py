@@ -47,9 +47,9 @@ class TestBenchSchema:
         assert infer_mode(doc) == name
 
     def test_stamp_sets_schema_and_mode(self):
-        # The committed datagen report predates the schema stamp.
         _, doc = _committed_bench("datagen")
-        assert "schema" not in doc
+        assert doc["schema"] == BENCH_SCHEMA
+        del doc["schema"]
         stamp_bench(doc)
         assert doc["schema"] == BENCH_SCHEMA
         assert doc["mode"] == "datagen"
@@ -63,9 +63,9 @@ class TestBenchSchema:
 
     def test_missing_required_field_reported(self):
         _, doc = _committed_bench("datagen")
-        doc.pop("speedup")
+        doc.pop("optimized_s")
         problems = validate_bench(doc)
-        assert any("speedup" in p for p in problems)
+        assert any("optimized_s" in p for p in problems)
 
     def test_non_mapping_provenance_reported(self):
         _, doc = _committed_bench("datagen")
@@ -137,7 +137,7 @@ class TestDiffRuns:
         _, doc = _committed_bench("datagen")
         old = load_run_doc(doc)
         new = copy.deepcopy(old)
-        for key in ("reference_s", "optimized_s", "cache_cold_s"):
+        for key in ("optimized_s", "cache_cold_s", "cache_warm_s"):
             new["scalars"][key] = new["scalars"][key] * 100
         assert diff_runs(old, new)["verdict"] == "ok"
 
@@ -293,12 +293,12 @@ class TestCannotAlign:
     def test_nan_bench_scalar_exit_two(self, tmp_path, capsys):
         path, doc = _committed_bench("datagen")
         bad = copy.deepcopy(doc)
-        bad["reference_s"] = float("nan")
+        bad["optimized_s"] = float("nan")
         bad_path = self._write(tmp_path, "bad.json", bad)
         assert main([path, bad_path]) == 2
         err = capsys.readouterr().err
         assert "cannot align" in err
-        assert "reference_s" in err
+        assert "optimized_s" in err
 
     def test_non_numeric_counter_exit_two(self, tmp_path, capsys):
         good = _worked_manifest()
@@ -324,11 +324,12 @@ class TestCannotAlign:
         assert run["scalars"]["experiment.e1.wall_s"] == 1.5
 
     def test_empty_workers_datagen_loads_and_diffs_ok(self, tmp_path, capsys):
-        # An empty worker list is a legitimate single-process run, not
-        # an alignment failure.
-        path, doc = _committed_bench("datagen")
-        empty = copy.deepcopy(doc)
-        empty["workers"] = []
-        empty_path = self._write(tmp_path, "empty.json", empty)
-        assert main([path, empty_path]) == 0
+        # A datagen run records in one process, so its manifest's
+        # worker list is empty: a legitimate run, not an alignment
+        # failure.
+        manifest = _worked_manifest()
+        assert manifest["workers"] == []
+        a = self._write(tmp_path, "a.json", manifest)
+        b = self._write(tmp_path, "b.json", copy.deepcopy(manifest))
+        assert main([a, b]) == 0
         assert "OK" in capsys.readouterr().out

@@ -226,19 +226,3 @@ class TestFallbackAndTelemetry:
             counters = registry.snapshot()["counters"]
         assert counters["group_lasso.solves"] > 0
         assert counters["group_lasso.kernel_solves"] == counters["group_lasso.solves"]
-
-
-def test_threaded_scopes_match_sequential(kernel):
-    # Each solve owns its buffers and cffi releases the GIL in the
-    # step, so scope threads must not disturb each other's iterates.
-    dataset = make_synthetic_dataset(seed=9)
-    config = PipelineConfig(budget=1.0)
-    models = [
-        LambdaPathEngine(dataset, config, n_jobs=n_jobs).fit(1.0)
-        for n_jobs in (1, 2)
-    ]
-    assert len(models[0].scopes) > 1
-    for one, two in zip(models[0].scopes, models[1].scopes):
-        assert np.array_equal(
-            bits(one.selection.gl_result.coef), bits(two.selection.gl_result.coef)
-        )

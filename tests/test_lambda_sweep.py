@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.lambda_sweep import fit_for_sensor_count, sweep_lambda
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineConfig, fit_placement
 from repro.experiments.config import FAST_SETUP
 from repro.experiments.data_generation import generate_dataset
+from repro.utils.rng import make_rng
+from repro.voltage.metrics import mean_relative_error
 from tests.conftest import make_synthetic_dataset
 
 
@@ -48,27 +50,19 @@ class TestSweepLambda:
     def test_warm_start_matches_independent_fits(self):
         # The engine-backed sweep (shared Gram + cross-budget warm
         # starts) must select the same sensors as refitting every
-        # budget from scratch.
+        # budget from scratch on the same split.
         ds = make_synthetic_dataset(seed=5)
         budgets = [0.4, 0.8, 1.6, 3.2]
-        warm = sweep_lambda(ds, budgets=budgets, rng=0, warm_start=True)
-        cold = sweep_lambda(ds, budgets=budgets, rng=0, warm_start=False)
-        for w, c in zip(warm, cold):
+        warm = sweep_lambda(ds, budgets=budgets, rng=0)
+        train, test = ds.train_test_split(test_fraction=0.25, rng=make_rng(0))
+        for w, budget in zip(warm, budgets):
+            cold = fit_placement(train, PipelineConfig(budget=budget))
             assert (
                 w.model.sensor_candidate_cols.tolist()
-                == c.model.sensor_candidate_cols.tolist()
+                == cold.sensor_candidate_cols.tolist()
             )
-            assert w.relative_error == pytest.approx(c.relative_error)
-
-    def test_n_jobs_matches_serial(self):
-        ds = make_synthetic_dataset(seed=6)
-        budgets = [0.5, 1.0, 2.0]
-        serial = sweep_lambda(ds, budgets=budgets, rng=0, n_jobs=1)
-        threaded = sweep_lambda(ds, budgets=budgets, rng=0, n_jobs=2)
-        for s, t in zip(serial, threaded):
-            assert (
-                s.model.sensor_candidate_cols.tolist()
-                == t.model.sensor_candidate_cols.tolist()
+            assert w.relative_error == pytest.approx(
+                mean_relative_error(cold.predict(test.X), test.F)
             )
 
     def test_unsorted_budgets_match_sorted(self):
@@ -96,7 +90,6 @@ class TestSweepConvergence:
             [1.0, 2.0, 3.0],
             base_config=PipelineConfig(budget=1.0),
             rng=0,
-            warm_start=True,
         )
         for point in points:
             rtol = point.model.config.rtol

@@ -1,4 +1,4 @@
-"""Mergeable-snapshot semantics: exactness, processes, thread scopes."""
+"""Mergeable-snapshot semantics: exactness and worker processes."""
 
 import multiprocessing
 
@@ -137,69 +137,6 @@ class TestRegistrySnapshotMerge:
         null.merge_snapshot(self._worked_registry().snapshot())
         assert null.snapshot()["counters"] == {}
 
-    def test_merge_registry_forwards_spans_and_events(self):
-        parent = MetricsRegistry()
-        parent.event("parent.before")
-        child = MetricsRegistry()
-        with obs.span("child.op", registry=child):
-            pass
-        child.event("child.done", x=1)
-        parent.merge_registry(child)
-        assert [s.name for s in parent.spans] == ["child.op"]
-        names = [e["event"] for e in parent.events]
-        assert names == ["parent.before", "child.done"]
-        # Re-sequenced: seq values stay unique and monotone.
-        seqs = [e["seq"] for e in parent.events]
-        assert seqs == sorted(set(seqs))
-
-
-class TestThreadRegistry:
-    def test_thread_override_is_per_thread(self):
-        import threading
-
-        child = MetricsRegistry()
-        seen = {}
-
-        def other_thread():
-            seen["registry"] = obs.get_registry()
-
-        with obs.use_registry(MetricsRegistry()) as global_reg:
-            with obs.thread_registry(child):
-                assert obs.get_registry() is child
-                t = threading.Thread(target=other_thread)
-                t.start()
-                t.join()
-            assert obs.get_registry() is global_reg
-        assert seen["registry"] is global_reg
-
-    def test_path_engine_threads_merge_into_parent(self, synthetic_dataset):
-        from repro.core.path_engine import LambdaPathEngine
-
-        with obs.use_registry(MetricsRegistry()) as seq_reg:
-            engine = LambdaPathEngine(synthetic_dataset, n_jobs=1)
-            seq_models = engine.fit_path([1.0, 2.0])
-        with obs.use_registry(MetricsRegistry()) as par_reg:
-            engine = LambdaPathEngine(synthetic_dataset, n_jobs=4)
-            par_models = engine.fit_path([1.0, 2.0])
-        # Identical work: same solves, same counters, same span names.
-        assert [
-            [s.predictor.sensor_nodes.tolist() for s in m.scopes]
-            for m in par_models
-        ] == [
-            [s.predictor.sensor_nodes.tolist() for s in m.scopes]
-            for m in seq_models
-        ]
-        assert (
-            par_reg.counter("path.gram_reuse").value
-            == seq_reg.counter("path.gram_reuse").value
-        )
-        assert sorted(s.name for s in par_reg.spans) == sorted(
-            s.name for s in seq_reg.spans
-        )
-        assert par_reg.timer("fit.scope").count == seq_reg.timer(
-            "fit.scope"
-        ).count
-
 
 def _mp_worker(args):
     """Record a deterministic share of samples; return the snapshot."""
@@ -245,57 +182,3 @@ class TestMultiprocessingMerge:
             assert parent.timer("work.lat").percentile(p) == pooled.timer(
                 "work.lat"
             ).percentile(p)
-
-
-class TestDatagenParallelAggregation:
-    def test_parallel_workers_report_snapshots(self, tiny_setup=None):
-        from repro.experiments.config import ChipConfig, DataConfig
-        from repro.experiments.data_generation import build_chip, generate_maps
-
-        config = ChipConfig(
-            core_cols=1, core_rows=1, template="small",
-            grid_pitch=0.4, pad_pitch=1.5,
-        )
-        data = DataConfig(
-            benchmarks=("x264", "canneal", "dedup", "vips"),
-            steps_per_benchmark=40, warmup_steps=10,
-            record_every=4, n_samples=20, seed=3,
-        )
-        chip = build_chip(config)
-        with obs.use_registry(MetricsRegistry()) as reg:
-            maps = generate_maps(chip, data, n_jobs=2)
-        workers = reg.events_named("obs.worker")
-        assert len(workers) == 2
-        assert {w["source"] for w in workers} == {"datagen"}
-        all_benchmarks = [b for w in workers for b in w["benchmarks"]]
-        assert sorted(all_benchmarks) == sorted(data.benchmarks)
-        for w in workers:
-            snap = w["snapshot"]
-            assert snap["schema"] == obs.SNAPSHOT_SCHEMA
-            assert snap["counters"]["datagen.batch_solve"] == 1
-            assert "datagen.batch_solve" in snap["timers"]
-        # Worker counters merged into the parent registry exactly.
-        assert reg.counter("datagen.batch_solve").value == 2
-        assert reg.timer("datagen.batch_solve").count == 2
-        assert maps.n_samples > 0
-
-    def test_library_does_not_clobber_global_registry(self):
-        from repro.experiments.config import ChipConfig, DataConfig
-        from repro.experiments.data_generation import (
-            _parallel_worker,
-        )
-
-        config = ChipConfig(
-            core_cols=1, core_rows=1, template="small",
-            grid_pitch=0.4, pad_pitch=1.5,
-        )
-        data = DataConfig(
-            benchmarks=("x264",), steps_per_benchmark=20,
-            warmup_steps=5, record_every=4, n_samples=5, seed=0,
-        )
-        before = obs.get_registry()
-        payload = _parallel_worker((config, data, ["x264"], False))
-        # The worker used a scoped registry: the caller's global one is
-        # untouched (previously obs.enable()/disable() clobbered it).
-        assert obs.get_registry() is before
-        assert payload["snapshot"]["counters"]["datagen.batch_solve"] == 1

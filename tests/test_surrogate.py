@@ -291,8 +291,8 @@ def run_bench():
 #: to MODES without a stub here fails the exhaustiveness assertion.
 _MODE_STUBS = {
     "datagen": {
-        "reference_s": 1.0, "optimized_s": 0.5, "speedup": 2.0,
-        "equality": {}, "counters": {}, "problems": [],
+        "optimized_s": 0.5, "cache_cold_s": 1.0, "cache_warm_s": 0.1,
+        "cache_equality": {}, "counters": {}, "problems": [],
     },
     "tournament": {
         "budget": 1.0, "placers": [], "scenarios": {}, "entries": [],
