@@ -7,7 +7,7 @@ users who want to evaluate sensor placement on their own design:
 
 * a 4-core chip with a custom block template and peripheral (wire-bond)
   power delivery,
-* a DC IR-drop analysis and SPICE netlist export of the grid,
+* a DC IR-drop analysis of the grid,
 * dataset assembly and placement fitting on the custom design.
 
 Run with::
@@ -16,8 +16,6 @@ Run with::
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from repro.floorplan import (
 from repro.powergrid import (
     PowerGrid,
     TransientSolver,
-    export_spice,
     ir_drop_report,
     peripheral_pads,
 )
@@ -89,11 +86,6 @@ def main() -> None:
         f"{report.worst_node}, mean {1000 * report.mean_drop:.1f} mV, "
         f"total {report.total_current:.1f} A"
     )
-
-    # SPICE export for cross-checking with an external simulator.
-    deck = io.StringIO()
-    export_spice(grid, deck)
-    print(f"SPICE deck: {len(deck.getvalue().splitlines())} lines")
 
     # --- 3. simulate two workloads and assemble a dataset -------------
     solver = TransientSolver(grid, timestep=2e-10)

@@ -1,21 +1,16 @@
 #!/usr/bin/env python
-"""Observability tour: spans, metrics, events, exporter, and a manifest.
+"""Observability tour: spans, metrics, events, and a manifest.
 
 Enables the process-global :mod:`repro.obs` registry, runs the whole
 pipeline (data generation -> lambda sweep -> runtime monitoring), and
 shows everything the instrumentation captured: nested span timings,
 group-lasso convergence statistics per lambda, monitor emergency
-events, per-step prediction latency percentiles, a live Prometheus
-``/metrics`` endpoint scraped mid-run, and finally a JSON run manifest
-plus the ASCII timing-summary table.
+events, per-step prediction latency percentiles, and finally a JSON
+run manifest plus the ASCII timing-summary table.
 
 Run with::
 
     python examples/instrumented_run.py
-
-While it runs you can also scrape the endpoint yourself::
-
-    curl http://127.0.0.1:9464/metrics
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from __future__ import annotations
 import json
 
 import repro.obs as obs
-from repro.core import PipelineConfig
 from repro.core.lambda_sweep import sweep_lambda
 from repro.experiments import FAST_SETUP, generate_dataset
 from repro.monitor import VoltageMonitor
@@ -32,13 +26,10 @@ from repro.utils.io import to_jsonable
 
 def main() -> None:
     # 1. Turn observability on: a fresh enabled registry becomes the
-    #    process-global default, a JSONL sink streams every event, and
-    #    a /metrics endpoint exposes live Prometheus text exposition.
+    #    process-global default, and a JSONL sink streams every event.
     registry = obs.enable()
     sink = obs.JsonlSink("instrumented_run_events.jsonl")
     registry.add_sink(sink)
-    server = obs.MetricsServer(registry, port=9464).start()
-    print(f"live metrics at {server.url}/metrics")
 
     # 2. Everything below is already instrumented — datagen emits
     #    per-benchmark spans, the solver emits per-lambda convergence
@@ -66,23 +57,7 @@ def main() -> None:
             f"p90={latency.p90 * 1e6:.0f}us"
         )
 
-    # 3. Scrape the endpoint exactly as Prometheus would: counters as
-    #    *_total, timers as cumulative histograms.
-    from urllib.request import urlopen
-
-    with urlopen(f"{server.url}/metrics") as response:
-        exposition = response.read().decode("utf-8")
-    interesting = [
-        line
-        for line in exposition.splitlines()
-        if line.startswith(("repro_datagen", "repro_monitor"))
-        and "_bucket" not in line
-    ]
-    print("\nscraped /metrics (excerpt):")
-    for line in interesting[:8]:
-        print(f"  {line}")
-
-    # 4. Solver telemetry: iterations and final residual per lambda.
+    # 3. Solver telemetry: iterations and final residual per lambda.
     print("\ngroup-lasso convergence (one row per constrained solve):")
     for entry in obs.convergence_stats(registry)[:5]:
         print(
@@ -91,7 +66,7 @@ def main() -> None:
             f"converged={entry['converged']}"
         )
 
-    # 5. The run manifest — what `repro-experiments --trace-out` writes.
+    # 4. The run manifest — what `repro-experiments --trace-out` writes.
     manifest = obs.build_manifest(
         registry,
         profile=FAST_SETUP.name,
@@ -101,10 +76,9 @@ def main() -> None:
           f"{len(manifest['group_lasso'])} solver records")
     print(json.dumps(to_jsonable(manifest["event_counts"]), indent=2))
 
-    # 6. End-of-run timing table (wall time per instrumented operation).
+    # 5. End-of-run timing table (wall time per instrumented operation).
     print("\n" + obs.render_timing_summary(registry, top=12))
 
-    server.stop()
     sink.close()
     print(f"\n{sink.n_emitted} events streamed to {sink.path}")
     obs.disable()

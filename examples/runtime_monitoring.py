@@ -12,9 +12,8 @@ A second act demonstrates the batched serving subsystem: a
 :class:`~repro.monitor.FleetMonitor` monitors many independent chips
 (streams) in one vectorized pass, a sensor fault is injected mid-run,
 and the monitor detects it and fails over to the precomputed
-leave-one-sensor-out fallback model without interrupting service —
-while a live Prometheus ``/metrics`` endpoint exposes the fleet's
-latency histograms and failover counters to ``curl`` the whole time.
+leave-one-sensor-out fallback model without interrupting service; the
+registry's timing table then shows where the fleet spent its time.
 
 Run with::
 
@@ -22,8 +21,6 @@ Run with::
 """
 
 from __future__ import annotations
-
-from urllib.request import urlopen
 
 import numpy as np
 
@@ -111,31 +108,16 @@ def main() -> None:
     policy = FaultPolicy(
         v_lo=lo - 0.05, v_hi=hi + 0.05, frozen_window=8, frozen_eps=0.0
     )
-    # Serve live telemetry while the fleet runs: the registry collects
-    # the monitor's latency timers and failover counters, and the
-    # /metrics endpoint exposes them in Prometheus text format.
+    # The registry collects the monitor's latency timers and failover
+    # counters while the fleet runs.
     registry = obs.enable()
-    server = obs.MetricsServer(registry, port=0).start()
-    print(f"\nlive fleet metrics at {server.url}/metrics")
     fleet = FleetMonitor(
         model, threshold, debounce=2, n_streams=n_streams, policy=policy,
         shard="fleet-demo",
     )
     fleet.run_batch(streams)
-
-    with urlopen(f"{server.url}/metrics") as response:
-        exposition = response.read().decode("utf-8")
-    monitor_lines = [
-        line
-        for line in exposition.splitlines()
-        if line.startswith("repro_monitor") and "_bucket" not in line
-    ]
-    print("scraped /metrics mid-run (excerpt):")
-    for line in monitor_lines[:6]:
-        print(f"  {line}")
-
     stats = fleet.finish()
-    server.stop()
+    print("\n" + obs.render_timing_summary(registry, "Fleet telemetry", top=4))
     obs.disable()
 
     print(

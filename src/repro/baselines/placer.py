@@ -147,7 +147,7 @@ class Placement:
 
         Returns a :class:`~repro.core.pipeline.PlacementModel` (built
         via :func:`~repro.core.pipeline.placement_model_from_cols`)
-        that predicts, alarms, serializes, and serves through
+        that predicts, alarms, and serves through
         :class:`~repro.monitor.fleet.FleetMonitor` — including the
         leave-one-sensor-out failover models — exactly like a
         group-lasso fit.

@@ -37,9 +37,7 @@ from repro.core.selection import (
     select_sensors,
     threshold_selection,
 )
-from repro.core.serialization import load_placement, save_placement
 from repro.core.spacing import enforce_min_spacing
-from repro.core.temporal import TemporalPredictor, history_gain_study, stack_history
 
 __all__ = [
     "GroupLassoResult",
@@ -65,10 +63,5 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "SelectionResult",
     "select_sensors",
-    "load_placement",
-    "save_placement",
     "enforce_min_spacing",
-    "TemporalPredictor",
-    "history_gain_study",
-    "stack_history",
 ]

@@ -236,15 +236,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="dataset cache directory (defaults to $REPRO_DATASET_CACHE; "
         "repeated runs of the same profile skip simulation)",
     )
-    parser.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live Prometheus metrics at "
-        "http://127.0.0.1:PORT/metrics for the duration of the run "
-        "(0 picks a free port)",
-    )
     args = parser.parse_args(argv)
     if args.report and args.out is None:
         parser.error("--report requires --out")
@@ -256,14 +247,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     setup: ExperimentSetup = FAST_SETUP if args.fast else PAPER_SETUP
     sink: Optional[obs.JsonlSink] = None
-    server: Optional[obs.MetricsServer] = None
     with obs.use_registry(obs.MetricsRegistry()) as registry:
         if args.trace_jsonl is not None:
             sink = obs.JsonlSink(args.trace_jsonl)
             registry.add_sink(sink)
-        if args.metrics_port is not None:
-            server = obs.MetricsServer(registry, port=args.metrics_port).start()
-            print(f"metrics: {server.url}/metrics")
         print(f"profile: {setup.name}")
         t0 = time.time()
         data = generate_dataset(setup, verbose=True, cache_dir=args.cache_dir)
@@ -276,8 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             if sink is not None:
                 sink.close()
-            if server is not None:
-                server.stop()
 
         if args.report:
             from repro.experiments.report import write_report

@@ -38,7 +38,6 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.events import JsonlSink, ListSink
-from repro.obs.exporter import MetricsServer, render_prometheus
 from repro.obs.manifest import (
     build_manifest,
     convergence_stats,
@@ -69,8 +68,6 @@ __all__ = [
     "current_span",
     "JsonlSink",
     "ListSink",
-    "MetricsServer",
-    "render_prometheus",
     "build_manifest",
     "convergence_stats",
     "render_timing_summary",

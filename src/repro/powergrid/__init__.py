@@ -8,8 +8,6 @@ traces from which training voltage maps are sampled.
 
 from repro.powergrid.grid import PowerGrid
 from repro.powergrid.ir_analysis import IRReport, ir_drop_report, solve_dc
-from repro.powergrid.multilayer import TwoLayerGrid, two_layer_mesh
-from repro.powergrid.netlist import export_spice, parse_spice
 from repro.powergrid.pads import Pad, peripheral_pads, uniform_pad_array
 from repro.powergrid.stamps import (
     pad_companion_conductance,
@@ -29,10 +27,6 @@ __all__ = [
     "IRReport",
     "ir_drop_report",
     "solve_dc",
-    "TwoLayerGrid",
-    "two_layer_mesh",
-    "export_spice",
-    "parse_spice",
     "Pad",
     "peripheral_pads",
     "uniform_pad_array",

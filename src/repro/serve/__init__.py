@@ -10,9 +10,10 @@ The serving layer turns the in-process
 * :mod:`repro.serve.fleet` — :class:`ShardedFleet`, the coordinator
   that partitions S streams across N workers, hands them slot indices
   over one pipe per shard, merges shard snapshots back into the parent
-  registry, and reassembles per-stream events/failures.
-* :mod:`repro.serve.frontend` — :class:`IngestionFrontend`, an asyncio
-  front-end with bounded-queue backpressure (block / drop-oldest).
+  registry, and reassembles per-stream events/failures.  A caller
+  that must not block drives it through ``try_submit_chunk`` and
+  ``poll_results``; a refused submit counts one
+  ``serve.backpressure_stalls``.
 
 Results are bit-identical to a single in-process
 ``FleetMonitor.run_batch`` over the same frames; ``tests/test_serve.py``
@@ -21,10 +22,8 @@ and the ``fleet-serve`` workload of ``benchmarks/e2e`` assert it (see
 """
 
 from repro.serve.fleet import ServeResult, ShardedFleet
-from repro.serve.frontend import IngestionFrontend
 
 __all__ = [
-    "IngestionFrontend",
     "ServeResult",
     "ShardedFleet",
 ]

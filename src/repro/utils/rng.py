@@ -2,9 +2,10 @@
 
 Every stochastic component in the library draws from a
 :class:`numpy.random.Generator` created through :func:`make_rng`, so that
-experiments are reproducible bit-for-bit given the same seed.  Child
-streams derived with :func:`spawn_rng` are independent of each other and
-stable across runs.
+experiments are reproducible bit-for-bit given the same seed.  A
+component that needs its own stream (a benchmark's activity, a
+scenario's variation) seeds it with :func:`seed_for` of a label, which
+is stable across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rng", "seed_for"]
+__all__ = ["make_rng", "seed_for"]
 
 RngLike = Union[None, int, np.random.Generator]
 
@@ -31,31 +32,6 @@ def make_rng(seed: RngLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, key: str) -> np.random.Generator:
-    """Derive a named, independent child generator from ``rng``.
-
-    The child stream is a deterministic function of the parent stream
-    state and ``key``; two different keys produce statistically
-    independent streams.
-
-    Parameters
-    ----------
-    rng:
-        Parent generator.  Its state is *not* advanced.
-    key:
-        A label identifying the child stream (e.g. a benchmark name).
-    """
-    # Combine the parent's bit-generator seed material with a stable hash
-    # of the key.  SeedSequence.spawn would advance shared state, so we
-    # build a fresh SeedSequence instead.
-    parent_state = rng.bit_generator.state
-    # Serialize whatever nested state dict the bit generator exposes.
-    entropy = abs(hash((str(sorted(parent_state.items(), key=lambda kv: kv[0])),)))
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=entropy, spawn_key=(seed_for(key),))
-    )
 
 
 def seed_for(key: str, modulus: int = 2**32) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Union
 
-__all__ = ["format_table", "format_float", "render_rows"]
+__all__ = ["format_table", "format_float"]
 
 Cell = Union[str, float, int, None]
 
@@ -86,14 +86,3 @@ def format_table(
     lines.append(sep)
     lines.extend(fmt_row(row) for row in str_rows)
     return "\n".join(lines)
-
-
-def render_rows(rows: Iterable[Sequence[Cell]], digits: int = 4) -> List[str]:
-    """Render rows (without headers) as aligned strings.
-
-    Useful for appending summary lines under a :func:`format_table`
-    output.
-    """
-    return [
-        "  ".join(_stringify(cell, digits) for cell in row) for row in rows
-    ]

@@ -8,7 +8,7 @@ message that names the offending argument.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -16,10 +16,8 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_probability",
     "check_matrix",
     "check_vector",
-    "check_same_length",
     "check_integer",
 ]
 
@@ -86,11 +84,6 @@ def check_in_range(
     return value
 
 
-def check_probability(value: float, name: str) -> float:
-    """Validate that ``value`` is a probability in ``[0, 1]``."""
-    return check_in_range(value, name, 0.0, 1.0)
-
-
 def check_integer(value, name: str, minimum: Optional[int] = None) -> int:
     """Validate that ``value`` is an integer (optionally >= ``minimum``)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -140,12 +133,3 @@ def check_vector(arr, name: str, length: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def check_same_length(a: Sequence, b: Sequence, name_a: str, name_b: str) -> None:
-    """Validate that two sequences have equal length."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"{name_a} and {name_b} must have the same length "
-            f"({len(a)} != {len(b)})"
-        )

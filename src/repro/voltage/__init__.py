@@ -8,8 +8,6 @@ from repro.voltage.correlation import (
 from repro.voltage.critical import select_critical_nodes, select_representative_nodes
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.emergencies import (
-    DEFAULT_THRESHOLD_FRACTION,
-    EmergencyThreshold,
     any_emergency,
     emergency_matrix,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "select_critical_nodes",
     "select_representative_nodes",
     "VoltageDataset",
-    "DEFAULT_THRESHOLD_FRACTION",
-    "EmergencyThreshold",
     "any_emergency",
     "emergency_matrix",
     "VoltageMapSet",

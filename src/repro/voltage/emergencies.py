@@ -8,46 +8,11 @@ baseline, and the error-rate metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.utils.validation import check_positive
 
-__all__ = ["EmergencyThreshold", "emergency_matrix", "any_emergency"]
-
-#: The paper's emergency threshold for VDD = 1.0 V.
-DEFAULT_THRESHOLD_FRACTION = 0.85
-
-
-@dataclass(frozen=True)
-class EmergencyThreshold:
-    """An emergency threshold tied to its nominal supply.
-
-    Parameters
-    ----------
-    vdd:
-        Nominal supply voltage (V).
-    fraction:
-        Threshold as a fraction of VDD; the paper uses 0.85.
-    """
-
-    vdd: float = 1.0
-    fraction: float = DEFAULT_THRESHOLD_FRACTION
-
-    def __post_init__(self) -> None:
-        check_positive(self.vdd, "vdd")
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
-
-    @property
-    def volts(self) -> float:
-        """Threshold in volts."""
-        return self.vdd * self.fraction
-
-    def is_emergency(self, voltages: np.ndarray) -> np.ndarray:
-        """Boolean mask of entries strictly below the threshold."""
-        return np.asarray(voltages) < self.volts
+__all__ = ["emergency_matrix", "any_emergency"]
 
 
 def emergency_matrix(voltages: np.ndarray, threshold: float) -> np.ndarray:

@@ -14,12 +14,6 @@ from repro.workload.benchmarks import (
 )
 from repro.workload.current_map import CurrentMapper, build_distribution_matrix
 from repro.workload.events import GatingEvent, GatingSchedule, generate_gating_schedule
-from repro.workload.trace_io import (
-    activity_from_csv,
-    activity_to_csv,
-    load_activity,
-    save_activity,
-)
 from repro.workload.power_model import (
     BlockPowerTraces,
     McPATLikePowerModel,
@@ -38,10 +32,6 @@ __all__ = [
     "GatingEvent",
     "GatingSchedule",
     "generate_gating_schedule",
-    "activity_from_csv",
-    "activity_to_csv",
-    "load_activity",
-    "save_activity",
     "BlockPowerTraces",
     "McPATLikePowerModel",
     "PowerModelConfig",

@@ -4,35 +4,9 @@ import numpy as np
 import pytest
 
 from repro.voltage.emergencies import (
-    EmergencyThreshold,
     any_emergency,
     emergency_matrix,
 )
-
-
-class TestEmergencyThreshold:
-    def test_paper_default(self):
-        thr = EmergencyThreshold()
-        assert thr.volts == pytest.approx(0.85)
-
-    def test_scales_with_vdd(self):
-        thr = EmergencyThreshold(vdd=0.8, fraction=0.85)
-        assert thr.volts == pytest.approx(0.68)
-
-    def test_is_emergency(self):
-        thr = EmergencyThreshold()
-        mask = thr.is_emergency(np.array([0.84, 0.85, 0.86]))
-        assert mask.tolist() == [True, False, False]
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            EmergencyThreshold(fraction=1.0)
-        with pytest.raises(ValueError):
-            EmergencyThreshold(fraction=0.0)
-
-    def test_rejects_bad_vdd(self):
-        with pytest.raises(ValueError):
-            EmergencyThreshold(vdd=-1.0)
 
 
 class TestEmergencyMatrix:

@@ -19,8 +19,10 @@ PACKAGES = [
     "repro.voltage",
     "repro.baselines",
     "repro.experiments",
-    "repro.sensors",
     "repro.monitor",
+    "repro.obs",
+    "repro.serve",
+    "repro.surrogate",
     "repro.utils",
 ]
 

@@ -4,13 +4,12 @@ The serving contract is *bit-equivalence*: ``ShardedFleet.run_frames``
 must return exactly the bytes the in-process
 ``FleetMonitor.run_batch`` produces — across shard counts, under ring
 backpressure, with fault screening active, and straight through a
-rolling model hot-swap (serialization round-trips float64 exactly, so
-a swap to a re-serialized model is bit-invisible).  The asyncio
-frontend is driven against an in-process stub fleet, so its
-backpressure policies are tested without worker processes.
+rolling model hot-swap (the swap pickles the model over the pipe,
+which round-trips float64 exactly, so a swap to a copy of the serving
+model is bit-invisible).
 """
 
-import asyncio
+import copy
 import multiprocessing
 import os
 import signal
@@ -18,7 +17,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from collections import deque
 from multiprocessing import shared_memory
 from pathlib import Path
 
@@ -28,10 +26,9 @@ import pytest
 import repro.obs as obs
 import repro.serve.fleet as serve_fleet
 from repro.core import PipelineConfig, fit_placement
-from repro.core.serialization import load_placement, save_placement
 from repro.monitor import DropoutFault, FaultPolicy, FleetMonitor
 from repro.obs.manifest import build_manifest, shard_stats
-from repro.serve import IngestionFrontend, ShardedFleet
+from repro.serve import ShardedFleet
 from tests.conftest import make_synthetic_dataset
 
 
@@ -208,12 +205,9 @@ class TestHotSwap:
         frames = _streams(model, ds, n_streams=4, n_cycles=96, seed=11)
         swap_at = 48  # slot boundary (multiple of slot_ticks)
 
-        # A serialization round-trip is bit-exact, so the swapped model
-        # must be invisible in the outputs.
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "model.npz")
-            save_placement(path, model)
-            model_v1 = load_placement(path)
+        # The swap pickles the model, which is bit-exact, so swapping in
+        # a copy must be invisible in the outputs.
+        model_v1 = copy.deepcopy(model)
 
         ref_flags, ref_v_min, _ = _reference(model, threshold, frames)
 
@@ -312,10 +306,7 @@ class TestHotSwap:
         threshold = _alarm_threshold(model, ds)
         frames = _streams(model, ds, n_streams=4, n_cycles=96, seed=13)
         swap_at = 48
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "model.npz")
-            save_placement(path, model)
-            model_v1, model_v2 = load_placement(path), load_placement(path)
+        model_v1, model_v2 = copy.deepcopy(model), copy.deepcopy(model)
 
         ref_flags, ref_v_min, _ = _reference(model, threshold, frames)
         fleet = ShardedFleet(
@@ -378,9 +369,10 @@ class TestWorkerSupervision:
             ShardedFleet(model, 0.9, n_streams=2, n_shards=3)
 
     @pytest.mark.parametrize("in_flight", [0, 2])
-    def test_frontend_raises_when_a_worker_dies(self, fitted, in_flight):
+    def test_submit_loop_raises_when_a_worker_dies(self, fitted, in_flight):
         """A dead shard must surface through ``poll_results`` instead of
-        leaving the frontend waiting for slots that never free up."""
+        leaving a nonblocking submit loop waiting for slots that never
+        free up."""
         ds, model = fitted
         threshold = _alarm_threshold(model, ds)
         frames = _streams(model, ds, n_streams=2, n_cycles=40)
@@ -399,15 +391,15 @@ class TestWorkerSupervision:
             fleet._procs[0].terminate()
             fleet._procs[0].join(10.0)
             assert not fleet._procs[0].is_alive()
-            frontend = IngestionFrontend(fleet, max_pending=2, policy="block")
-
-            async def feed():
-                for t in range(frames.shape[1]):
-                    await frontend.submit_tick(frames[:, t])
-                await frontend.flush()
-
+            deadline = time.monotonic() + 30.0
             with pytest.raises(RuntimeError, match="shard0 died"):
-                asyncio.run(asyncio.wait_for(feed(), 30))
+                for lo in range(0, frames.shape[1], fleet.slot_ticks):
+                    chunk = frames[:, lo : lo + fleet.slot_ticks]
+                    while not fleet.try_submit_chunk(chunk):
+                        if time.monotonic() > deadline:
+                            pytest.fail("dead shard not reported in 30 s")
+                        fleet.poll_results()
+                        time.sleep(200e-6)
         finally:
             fleet.abort()
 
@@ -650,114 +642,36 @@ class TestLifecycle:
                 os.kill(pid, signal.SIGKILL)
 
 
-class _StubFleet:
-    """In-process stand-in exposing the fleet's nonblocking surface.
-
-    Accepts nothing until ``poll_results`` has been called
-    ``open_after`` times (a shut gate models saturated rings), then
-    accepts everything.
-    """
-
-    def __init__(self, n_streams=3, n_sensors=4, slot_ticks=2,
-                 open_after=0):
-        self.n_streams = n_streams
-        self.n_sensors = n_sensors
-        self.slot_ticks = slot_ticks
-        self.open_after = open_after
-        self.polls = 0
-        self.accepted = []
-
-    def try_submit_chunk(self, chunk=None):
-        if chunk is None:
-            return True
-        if self.polls < self.open_after:
-            return False
-        self.accepted.append(np.array(chunk))
-        return True
-
-    def poll_results(self):
-        self.polls += 1
-        return 0
-
-
-def _ticks(n, n_streams=3, n_sensors=4):
-    """n distinguishable (S, Q) ticks: tick i is the constant i."""
-    return [np.full((n_streams, n_sensors), float(i)) for i in range(n)]
-
-
-class TestIngestionFrontend:
-    def test_block_policy_stalls_but_never_drops(self):
-        fleet = _StubFleet(open_after=20)
-        frontend = IngestionFrontend(
-            fleet, max_pending=1, policy="block", poll_s=1e-4
-        )
-
-        async def drive():
-            with obs.use_registry(obs.MetricsRegistry()) as registry:
-                for tick in _ticks(8):
-                    await frontend.submit_tick(tick)
-                await frontend.flush()
-                return registry.counter(
-                    "serve.backpressure_stalls"
-                ).snapshot()
-
-        stalls = asyncio.run(drive())
-        assert frontend.dropped_ticks == 0
-        assert frontend.submitted_ticks == 8
-        assert frontend.stalls == stalls > 0
-        # Everything arrived, in order, at the slot grain.
-        got = np.concatenate(fleet.accepted, axis=1)
-        assert got.shape == (3, 8, 4)
-        assert np.array_equal(got[0, :, 0], np.arange(8.0))
-
-    def test_drop_oldest_policy_sheds_head_of_line(self):
-        fleet = _StubFleet(open_after=10 ** 9)  # shut while feeding
-        frontend = IngestionFrontend(
-            fleet, max_pending=2, policy="drop_oldest", poll_s=1e-4
-        )
-
-        async def drive():
-            with obs.use_registry(obs.MetricsRegistry()) as registry:
-                for tick in _ticks(10):
-                    await frontend.submit_tick(tick)
-                dropped = registry.counter("serve.dropped_ticks").snapshot()
-            # Open the floodgates and flush the survivors.
-            fleet.open_after = 0
-            await frontend.flush()
-            return dropped
-
-        dropped = asyncio.run(drive())
-        # 5 chunks sealed, queue bound 2 -> the 3 oldest were shed.
-        assert frontend.dropped_ticks == dropped == 6
-        assert frontend.submitted_ticks == 4
-        got = np.concatenate(fleet.accepted, axis=1)
-        assert np.array_equal(got[0, :, 0], np.arange(6.0, 10.0))
-
-    def test_validates_policy_and_tick_shape(self):
-        fleet = _StubFleet()
-        with pytest.raises(ValueError, match="policy"):
-            IngestionFrontend(fleet, policy="reject")
-        with pytest.raises(ValueError, match="max_pending"):
-            IngestionFrontend(fleet, max_pending=0)
-        frontend = IngestionFrontend(fleet)
-        with pytest.raises(ValueError, match="tick must be"):
-            asyncio.run(frontend.submit_tick(np.zeros((2, 2))))
-
-    def test_partial_chunk_flushes(self):
-        fleet = _StubFleet(slot_ticks=4)
-        frontend = IngestionFrontend(fleet, policy="block")
-
-        async def drive():
-            for tick in _ticks(6):  # 1 full chunk + 2 leftover ticks
-                await frontend.submit_tick(tick)
-            await frontend.flush()
-
-        asyncio.run(drive())
-        assert frontend.submitted_ticks == 6
-        assert [c.shape[1] for c in fleet.accepted] == [4, 2]
-
-
 class TestServeObservability:
+    def test_backpressure_stalls_count_refused_submits(self, fitted):
+        """Each ``try_submit_chunk`` refused for want of a free slot
+        counts one ``serve.backpressure_stalls``; nothing else does."""
+        ds, model = fitted
+        frames = _streams(model, ds, n_streams=2, n_cycles=8)
+        with obs.use_registry(obs.MetricsRegistry()) as registry:
+            stalls = registry.counter("serve.backpressure_stalls")
+            fleet = ShardedFleet(
+                model,
+                _alarm_threshold(model, ds),
+                n_streams=2,
+                n_shards=1,
+                slot_ticks=4,
+                ring_slots=1,
+            )
+            try:
+                assert fleet.try_submit_chunk(frames[:, :4])
+                assert not fleet.try_submit_chunk(frames[:, 4:])
+                assert not fleet.try_submit_chunk()
+                assert stalls.snapshot() == 2
+                fleet.drain()
+                assert fleet.try_submit_chunk()
+                result = fleet.finish()
+            except BaseException:
+                fleet.abort()
+                raise
+            assert result.frames == 2 * 8
+            assert stalls.snapshot() == 2
+
     def test_manifest_v3_carries_per_shard_section(self, fitted):
         ds, model = fitted
         threshold = _alarm_threshold(model, ds)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import make_rng, seed_for, spawn_rng
+from repro.utils.rng import make_rng, seed_for
 
 
 class TestMakeRng:
@@ -39,24 +39,3 @@ class TestSeedFor:
         # or cached datasets silently regenerate differently.
         assert seed_for("stability-pin") == seed_for("stability-pin")
         assert isinstance(seed_for("stability-pin"), int)
-
-
-class TestSpawnRng:
-    def test_same_key_same_stream(self):
-        parent = make_rng(7)
-        a = spawn_rng(parent, "child").random(4)
-        parent2 = make_rng(7)
-        b = spawn_rng(parent2, "child").random(4)
-        assert np.array_equal(a, b)
-
-    def test_different_keys_differ(self):
-        parent = make_rng(7)
-        a = spawn_rng(parent, "one").random(4)
-        b = spawn_rng(parent, "two").random(4)
-        assert not np.array_equal(a, b)
-
-    def test_parent_state_not_advanced(self):
-        parent = make_rng(7)
-        before = parent.bit_generator.state
-        spawn_rng(parent, "child")
-        assert parent.bit_generator.state == before

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.tables import format_float, format_table, render_rows
+from repro.utils.tables import format_float, format_table
 
 
 class TestFormatFloat:
@@ -45,10 +45,3 @@ class TestFormatTable:
         text = format_table(["v"], [[0.123456]], digits=2)
         assert "0.12" in text
         assert "0.1235" not in text
-
-
-class TestRenderRows:
-    def test_renders_each_row(self):
-        rows = render_rows([[1, "x"], [2.5, None]])
-        assert len(rows) == 2
-        assert rows[0] == "1  x"

@@ -9,8 +9,6 @@ from repro.utils.validation import (
     check_matrix,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_same_length,
     check_vector,
 )
 
@@ -57,11 +55,6 @@ class TestCheckInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             check_in_range(1.01, "x", 0.0, 1.0)
-
-    def test_probability_alias(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
 
 
 class TestCheckInteger:
@@ -120,12 +113,3 @@ class TestCheckVector:
     def test_length(self):
         with pytest.raises(ValueError, match="length 3"):
             check_vector([1.0, 2.0], "v", length=3)
-
-
-class TestCheckSameLength:
-    def test_equal(self):
-        check_same_length([1, 2], [3, 4], "a", "b")
-
-    def test_unequal(self):
-        with pytest.raises(ValueError, match="same length"):
-            check_same_length([1], [2, 3], "a", "b")
