@@ -5,7 +5,7 @@ Enables the process-global :mod:`repro.obs` registry, runs the whole
 pipeline (data generation -> lambda sweep -> runtime monitoring), and
 shows everything the instrumentation captured: nested span timings,
 group-lasso convergence statistics per lambda, monitor emergency
-events, per-step prediction latency percentiles, and finally a JSON
+events, per-batch serving latency percentiles, and finally a JSON
 run manifest plus the ASCII timing-summary table.
 
 Run with::
@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 import repro.obs as obs
 from repro.core.lambda_sweep import sweep_lambda
 from repro.experiments import FAST_SETUP, generate_dataset
-from repro.monitor import VoltageMonitor
+from repro.monitor import FleetMonitor
 from repro.utils.io import to_jsonable
 
 
@@ -45,16 +47,19 @@ def main() -> None:
             f"rel. error {best.relative_error:.4f}"
         )
 
-        monitor = VoltageMonitor(
+        # One stream is a fleet of one, served in 32-cycle batches.
+        monitor = FleetMonitor(
             best.model, threshold=FAST_SETUP.chip.emergency_threshold
         )
-        monitor.run(data.eval.X[:200])
+        readings = data.eval.X[:200][:, monitor.sensor_cols]
+        for lo in range(0, readings.shape[0], 32):
+            monitor.run_batch(readings[np.newaxis, lo : lo + 32])
         stats = monitor.finish()
-        latency = stats.step_latency
+        latency = registry.timer("monitor.run_batch").summary()
         print(
-            f"monitored {stats.cycles} cycles: {stats.events} emergencies, "
-            f"step latency p50={latency.p50 * 1e6:.0f}us "
-            f"p90={latency.p90 * 1e6:.0f}us"
+            f"monitored {stats.cycles} cycles in {latency.count} batches: "
+            f"{stats.events} emergencies, batch latency "
+            f"p50={latency.p50 * 1e6:.0f}us p90={latency.p90 * 1e6:.0f}us"
         )
 
     # 3. Solver telemetry: iterations and final residual per lambda.

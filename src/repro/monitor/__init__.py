@@ -1,8 +1,8 @@
-"""Runtime monitoring: streaming emergency detection over a fitted
-placement — single-stream (:class:`VoltageMonitor`) and batched
-multi-stream (:class:`FleetMonitor`) serving, with sensor fault
-injection (:mod:`repro.monitor.faults`), online fault screens, and
-automatic failover to leave-one-sensor-out fallback models."""
+"""Runtime monitoring: emergency detection over a fitted placement,
+served for S streams at once by :meth:`FleetMonitor.run_batch` (a
+single stream is a fleet of one), with sensor fault injection
+(:mod:`repro.monitor.faults`), online fault screens, and automatic
+failover to leave-one-sensor-out fallback models."""
 
 from repro.monitor.faults import (
     SCREEN_FROZEN,
@@ -24,12 +24,10 @@ from repro.monitor.fleet import (
     MonitorStats,
     SensorFailure,
 )
-from repro.monitor.runtime import VoltageMonitor
 
 __all__ = [
     "EmergencyEvent",
     "MonitorStats",
-    "VoltageMonitor",
     "FleetMonitor",
     "FleetStats",
     "CompiledPredictor",

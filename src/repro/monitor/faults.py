@@ -118,16 +118,6 @@ class SensorFault:
             )
         return out
 
-    def apply_at(self, readings: np.ndarray, t: int) -> np.ndarray:
-        """Corrupt one cycle's readings (``(M,)`` or ``(S, M)``) at cycle ``t``."""
-        readings = np.array(readings, dtype=float, copy=True)
-        if not bool(self.active(np.asarray([t]))[0]):
-            return readings
-        readings[..., self.channel] = self._corrupt(
-            readings[..., self.channel][..., np.newaxis], np.asarray([t])
-        )[..., 0]
-        return readings
-
 
 @dataclass(frozen=True)
 class DropoutFault(SensorFault):
@@ -213,13 +203,6 @@ class FaultSet:
         out = np.array(stream, dtype=float, copy=True)
         for fault in self.faults:
             out = fault.apply(out, t0=t0)
-        return out
-
-    def apply_at(self, readings: np.ndarray, t: int) -> np.ndarray:
-        """Apply every fault to one cycle's readings at absolute cycle ``t``."""
-        out = np.array(readings, dtype=float, copy=True)
-        for fault in self.faults:
-            out = fault.apply_at(out, t)
         return out
 
 

@@ -3,36 +3,32 @@
 This module is the runtime half of the methodology at production
 scale: one fitted :class:`~repro.core.pipeline.PlacementModel` serves
 ``S`` independent sensor streams (many chips, or many benchmark
-replays) at once.  Per cycle the fleet does **one** ``(S, Q) @ (Q, K)``
-matmul instead of S small predicts, keeps per-stream debounce/episode
-state in flat arrays, and — when given a
-:class:`~repro.monitor.faults.FaultPolicy` — screens every sensor
-reading online and fails over to leave-one-sensor-out fallback models
+replays) at once.  :meth:`FleetMonitor.run_batch` takes a whole
+``(S, T, Q)`` tensor with no Python-per-cycle loop: chunked flat gemms
+for prediction, per-stream debounce/episode state in flat arrays
+replayed by run-length encoding the below-threshold mask, and — when
+given a :class:`~repro.monitor.faults.FaultPolicy` — fault screens over
+the full tensor with failover to leave-one-sensor-out fallback models,
 so a dead sensor degrades accuracy instead of poisoning every block
 prediction.
 
-Two serving paths share one numeric profile:
-
-* :meth:`FleetMonitor.step` — cycle-at-a-time, ``(S, Q)`` readings.
-* :meth:`FleetMonitor.run_batch` — a whole ``(S, T, Q)`` tensor with
-  no Python-per-cycle loop: chunked flat matmuls for prediction and a
-  run-length-encoding pass for the debounce/episode state machine.
-
-Bit-identity between the paths (and with a fleet of 1, which is what
-:class:`~repro.monitor.runtime.VoltageMonitor` wraps) is guaranteed by
-routing every prediction through :func:`_stable_rows`; see its
-docstring for the BLAS dispatch subtlety it neutralizes.
+The scalar state machine :meth:`FleetMonitor._advance_single` is the
+per-cycle reference of the run-length replay (and serves streams whose
+predictions contain NaN).  Any split of a stream into ``run_batch``
+calls, down to one cycle per call, gives the same bits because every
+prediction goes through :func:`_stable_rows`; see its docstring for
+the BLAS dispatch subtlety it neutralizes.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs import SNAPSHOT_SCHEMA, Timer, TimerSummary, get_registry
+from repro.obs import get_registry
 from repro.core.pipeline import PlacementModel
 from repro.monitor.faults import (
     SCREEN_FROZEN,
@@ -67,9 +63,8 @@ def _stable_rows(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     ``K == 1`` dispatch to gemv-style kernels with a different
     reduction order, which differ in the last ulp.  Padding those edges
     (duplicate the single row / append a zero column) keeps every
-    caller on the gemm profile, so a fleet of 1, a cycle-at-a-time
-    fleet of S, and the chunked ``run_batch`` fast path all agree
-    bit-for-bit.
+    caller on the gemm profile, so a one-row chunk, a fleet of 1 and
+    a many-row ``run_batch`` chunk all agree bit-for-bit.
     """
     n = X.shape[0]
     k = W.shape[1]
@@ -126,16 +121,12 @@ class MonitorStats:
         Completed alarm episodes.
     min_predicted:
         Deepest prediction seen overall (V).
-    step_latency:
-        Percentile summary of per-step wall times, populated by
-        ``finish``.
     """
 
     cycles: int = 0
     alarm_cycles: int = 0
     events: int = 0
     min_predicted: float = float("inf")
-    step_latency: Optional[TimerSummary] = None
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,6 @@ class FleetStats:
     min_predicted: float
     failovers: int
     degraded_streams: int
-    step_latency: Optional[TimerSummary] = None
 
 
 @dataclass
@@ -277,6 +267,30 @@ class CompiledPredictor:
         return _stable_rows(readings, self.coef_t) + self.intercept
 
 
+def check_swap_layout(
+    model: PlacementModel, sensor_cols: np.ndarray, n_blocks: int
+) -> None:
+    """Raise ``ValueError`` unless ``model`` may replace a served model.
+
+    A swapped-in model must read exactly the served sensor layout
+    ``sensor_cols`` and predict ``n_blocks`` blocks.  A model reading
+    only part of the layout (say ``model.without_sensor(c)``) is
+    rejected: failover looks a dead sensor's column up in the served
+    model's fallbacks, and such a model has no fallback for ``c``.
+    """
+    if model.n_blocks != n_blocks:
+        raise ValueError(
+            f"swap model predicts {model.n_blocks} blocks; the fleet "
+            f"serves {n_blocks}"
+        )
+    cols = model.sensor_candidate_cols
+    if not np.array_equal(cols, sensor_cols):
+        raise ValueError(
+            f"swap model reads sensor columns {cols.tolist()}; the fleet "
+            f"serves {np.asarray(sensor_cols).tolist()}"
+        )
+
+
 class FleetMonitor:
     """Batched emergency monitor over S independent sensor streams.
 
@@ -297,22 +311,19 @@ class FleetMonitor:
         failover to the model's leave-one-out fallbacks (which requires
         the model to carry OLS refit statistics — fitted models do;
         hand-built ones may not).
-    on_emergency:
-        Optional callback ``(stream_index, event)`` per completed
-        episode.
     shard:
         Optional shard label for fleet-of-fleets deployments.  When the
-        global registry is enabled, latency timers are mirrored into it
-        under ``monitor.step[<shard>]`` / ``monitor.stream_cycle[<shard>]``
-        and :meth:`finish` emits an ``obs.worker`` event carrying this
-        shard's latency snapshot, so run manifests get a per-shard
-        section.
+        global registry is enabled, the per-fleet timer and counters are
+        recorded under ``monitor.run_batch[<shard>]``,
+        ``monitor.batch_cycles[<shard>]`` and
+        ``monitor.model_swaps[<shard>]``, so many monitors can share one
+        registry.
 
     Notes
     -----
-    Streams advance in lockstep: one :meth:`step` consumes one cycle of
-    every stream.  All state is per stream; events, failures and stats
-    are queryable per stream or fleet-wide.
+    Streams advance in lockstep: one :meth:`run_batch` call consumes
+    the same T cycles of every stream.  All state is per stream;
+    events, failures and stats are queryable per stream or fleet-wide.
     """
 
     def __init__(
@@ -322,7 +333,6 @@ class FleetMonitor:
         debounce: int = 1,
         n_streams: int = 1,
         policy: Optional[FaultPolicy] = None,
-        on_emergency: Optional[Callable[[int, EmergencyEvent], None]] = None,
         shard: Optional[str] = None,
     ) -> None:
         check_positive(threshold, "threshold")
@@ -335,7 +345,6 @@ class FleetMonitor:
         self.debounce = debounce
         self.n_streams = n_streams
         self.policy = policy
-        self.on_emergency = on_emergency
         self.shard = shard
 
         self._base = CompiledPredictor.from_model(model)
@@ -364,8 +373,6 @@ class FleetMonitor:
         #: (None while the stream is healthy and serves the base model).
         self._models: List[Optional[PlacementModel]] = [None] * s
         self._compiled: List[Optional[CompiledPredictor]] = [None] * s
-
-        self._latency = Timer("monitor.step")
 
     def _metric(self, name: str) -> str:
         """Registry instrument name, shard-qualified when sharded."""
@@ -417,93 +424,7 @@ class FleetMonitor:
             min_predicted=float(self._min_pred[stream]),
         )
 
-    def latency_summary(self) -> TimerSummary:
-        """Percentile summary of per-:meth:`step` wall times."""
-        return self._latency.summary()
-
-    # -- serving: cycle at a time ---------------------------------------
-
-    def step(self, readings: np.ndarray) -> np.ndarray:
-        """Process one cycle of every stream; returns ``(S,)`` alarm flags.
-
-        Parameters
-        ----------
-        readings:
-            ``(S, Q)`` sensor readings, columns in :attr:`sensor_cols`
-            order.
-        """
-        t0 = _time.perf_counter()
-        readings = np.asarray(readings, dtype=float)
-        if readings.shape != (self.n_streams, self.n_sensors):
-            raise ValueError(
-                f"readings must be ({self.n_streams}, {self.n_sensors}) "
-                f"— one row per stream, one column per sensor in "
-                f"sensor_cols order; got shape {readings.shape}"
-            )
-        t = self._cycle
-        if self.policy is not None:
-            self._screen_step(readings, t)
-        degraded = np.nonzero(self._detected.any(axis=1))[0]
-        if degraded.size:
-            clean = readings.copy()
-            clean[self._detected] = 0.0
-        else:
-            clean = readings
-        pred = _stable_rows(clean, self._base.coef_t) + self._base.intercept
-        for s in degraded:
-            cp = self._compiled[s]
-            pred[s] = (
-                _stable_rows(clean[s : s + 1], cp.coef_t) + cp.intercept
-            )[0]
-        v_min = pred.min(axis=1)
-        blocks = pred.argmin(axis=1)
-        self._advance(v_min, blocks, t)
-        self._cycle += 1
-        dt = _time.perf_counter() - t0
-        self._latency.record(dt)
-        registry = get_registry()
-        if registry.enabled:
-            registry.timer(self._metric("monitor.step")).record(dt)
-        return self._alarm.copy()
-
-    def _advance(self, v_min: np.ndarray, blocks: np.ndarray, t: int) -> None:
-        """Vectorized one-cycle update of every stream's state machine."""
-        below = v_min < self.threshold  # NaN compares False: no streak
-        start_or_deeper = below & (
-            (self._streak == 0) | (v_min < self._streak_min)
-        )
-        self._streak_min = np.where(start_or_deeper, v_min, self._streak_min)
-        self._streak_block = np.where(
-            start_or_deeper, blocks, self._streak_block
-        )
-        self._streak = np.where(below, self._streak + 1, 0)
-
-        alarm_before = self._alarm.copy()
-        assert_now = ~alarm_before & (self._streak >= self.debounce)
-        self._alarm |= assert_now
-        self._ep_start = np.where(
-            assert_now, t - (self.debounce - 1), self._ep_start
-        )
-        self._ep_min = np.where(assert_now, self._streak_min, self._ep_min)
-        self._ep_block = np.where(
-            assert_now, self._streak_block, self._ep_block
-        )
-        # Backdated debounce-streak cycles count as alarm cycles so that
-        # sum(event durations) == alarm_cycles for any debounce.
-        self._alarm_cycles += assert_now * (self.debounce - 1)
-
-        deeper = alarm_before & (v_min < self._ep_min)
-        self._ep_min = np.where(deeper, v_min, self._ep_min)
-        self._ep_block = np.where(deeper, blocks, self._ep_block)
-        # NaN neither closes an episode nor extends the streak.
-        close = alarm_before & (v_min >= self.threshold)
-        for s in np.nonzero(close)[0]:
-            self._close_episode(int(s), t - 1)
-
-        self._alarm_cycles += self._alarm
-        self._min_pred = np.fmin(self._min_pred, v_min)
-
-    # -- serving: whole-tensor fast path --------------------------------
+    # -- serving ----------------------------------------------------------
 
     def run_batch(
         self,
@@ -512,17 +433,18 @@ class FleetMonitor:
     ) -> np.ndarray:
         """Process a whole ``(S, T, Q)`` tensor; returns ``(S, T)`` flags.
 
-        Semantically identical (bit-for-bit: predictions, episodes,
-        failovers, stats) to calling :meth:`step` T times, but with no
-        Python-per-cycle loop: fault screens are evaluated over the
+        No Python-per-cycle loop: fault screens are evaluated over the
         full tensor, predictions run as chunked flat gemms, and the
         debounce/episode machine is replayed per stream by run-length
-        encoding the below-threshold mask.  Streams whose prediction
-        minima contain NaN (possible only without a fault policy) fall
-        back to an exact scalar replay of the state machine.
+        encoding the below-threshold mask, with the flags, episodes and
+        counters of :meth:`_advance_single` driven cycle by cycle.
+        Streams whose prediction minima contain NaN (possible only
+        without a fault policy) go through that scalar machine itself.
 
         May be called repeatedly; debounce/episode/fault state carries
-        across calls exactly as it does across :meth:`step` calls.
+        across calls, so any split of a stream into calls (down to
+        T = 1, which costs far more per cycle) gives the same bits as
+        one call.
 
         Parameters
         ----------
@@ -570,8 +492,8 @@ class FleetMonitor:
                 fresh = np.nonzero(det_t[s] < n_cycles)[0]
                 if fresh.size == 0:
                     continue
-                # Failover order matches step mode: by cycle, then by
-                # sensor position within a cycle.
+                # Failover order: by cycle, then by sensor position
+                # within a cycle.
                 for q in fresh[np.argsort(det_t[s, fresh], kind="stable")]:
                     t_loc = int(det_t[s, q])
                     self._fail_sensor(
@@ -606,11 +528,6 @@ class FleetMonitor:
         if registry.enabled:
             dt = _time.perf_counter() - t0
             registry.timer(self._metric("monitor.run_batch")).record(dt)
-            # Amortized per-cycle latency so batch and step serving
-            # expose comparable per-stream timing in the registry.
-            registry.timer(self._metric("monitor.stream_cycle")).record(
-                dt / n_cycles
-            )
             registry.counter(self._metric("monitor.batch_cycles")).inc(
                 self.n_streams * n_cycles
             )
@@ -677,12 +594,19 @@ class FleetMonitor:
             blocks[lo:hi] = pred.argmin(axis=1)
         return v_min, blocks
 
-    # -- episode state machine (batch replay) ----------------------------
+    # -- episode state machine ---------------------------------------------
 
     def _advance_single(
         self, s: int, v: float, block: int, t: int
     ) -> None:
-        """Scalar replay of :meth:`_advance` for one stream (NaN-exact)."""
+        """Advance stream ``s`` by one cycle of minimum prediction ``v``.
+
+        The per-cycle reference of the episode state machine: a NaN
+        ``v`` compares False, so it neither extends a streak nor closes
+        an episode.  Backdated debounce-streak cycles count as alarm
+        cycles, so ``sum(event durations) == alarm_cycles`` for any
+        debounce.
+        """
         if v < self.threshold:
             if self._streak[s] == 0 or v < self._streak_min[s]:
                 self._streak_min[s] = v
@@ -714,7 +638,8 @@ class FleetMonitor:
 
         ``v`` must be finite; NaN streams go through
         :meth:`_advance_single`.  Produces exactly the alarm flags,
-        episodes and counters of the per-cycle machine.
+        episodes and counters of :meth:`_advance_single` driven cycle
+        by cycle.
         """
         n_cycles = v.size
         thr = self.threshold
@@ -820,7 +745,7 @@ class FleetMonitor:
     def _emit_episode(
         self, s: int, start: int, end: int, v_min: float, block: int
     ) -> None:
-        """Record one completed episode (log, obs, callback)."""
+        """Record one completed episode (log, obs)."""
         event = EmergencyEvent(
             start_cycle=start,
             end_cycle=end,
@@ -841,8 +766,6 @@ class FleetMonitor:
                 worst_block=event.worst_block,
                 threshold=self.threshold,
             )
-        if self.on_emergency is not None:
-            self.on_emergency(s, event)
 
     def _close_episode(self, s: int, end_cycle: int) -> None:
         """Close stream ``s``'s open episode at ``end_cycle``."""
@@ -858,33 +781,6 @@ class FleetMonitor:
 
     # -- fault screening and failover ------------------------------------
 
-    def _screen_step(self, readings: np.ndarray, t: int) -> None:
-        """Run the per-cycle fault screens and fail over fresh detections."""
-        policy = self.policy
-        finite = np.isfinite(readings)
-        nan_m = ~finite
-        range_m = finite & (
-            (readings < policy.v_lo) | (readings > policy.v_hi)
-        )
-        if self._last is None:
-            self._frozen_run = np.ones_like(self._frozen_run)
-        else:
-            eq = np.abs(readings - self._last) <= policy.frozen_eps
-            self._frozen_run = np.where(eq, self._frozen_run + 1, 1)
-        self._last = readings.copy()
-        frozen_m = self._frozen_run >= policy.frozen_window
-        fresh = (nan_m | range_m | frozen_m) & ~self._detected
-        if not fresh.any():
-            return
-        for s, q in zip(*np.nonzero(fresh)):  # row-major: stream, then q
-            if nan_m[s, q]:
-                screen = SCREEN_NAN
-            elif range_m[s, q]:
-                screen = SCREEN_RANGE
-            else:
-                screen = SCREEN_FROZEN
-            self._fail_sensor(int(s), int(q), t, screen)
-
     def _screen_batch(
         self, streams: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -893,8 +789,8 @@ class FleetMonitor:
         Returns ``(S, Q)`` first-trigger cycles (``T`` = never) and the
         matching screen codes (index into ``_SCREEN_LABELS``, priority
         nan > range > frozen on ties).  Also rolls the frozen-run carry
-        state forward to the end of the chunk, exactly as T calls to
-        :meth:`_screen_step` would.
+        state forward to the end of the chunk, so the next call
+        continues every frozen run where this one left it.
         """
         policy = self.policy
         n_cycles = streams.shape[1]
@@ -985,23 +881,19 @@ class FleetMonitor:
         """Atomically replace the served model between batches.
 
         The new model must read the same sensor layout and predict the
-        same blocks (its selected columns must lie inside
-        :attr:`sensor_cols` and ``n_blocks`` must match).  All episode,
+        same blocks (see :func:`check_swap_layout`); a rejected swap
+        raises ``ValueError`` and changes nothing.  All episode,
         debounce and fault state carries over; degraded streams re-derive
         their failover chain from the *new* model's leave-one-out
         fallbacks in the original failure order, so a hot-swap behaves
         exactly as if the fleet had been constructed with the new model
         and replayed its failure history.
 
-        Call between :meth:`step` / :meth:`run_batch` calls — the swap
-        is instantaneous from the stream's point of view (no frames are
+        Call between :meth:`run_batch` calls — the swap is
+        instantaneous from the stream's point of view (no frames are
         dropped and no state machine resets).
         """
-        if model.n_blocks != self._base.n_blocks:
-            raise ValueError(
-                f"swap model predicts {model.n_blocks} blocks; the fleet "
-                f"serves {self._base.n_blocks}"
-            )
+        check_swap_layout(model, self.sensor_cols, self._base.n_blocks)
         new_base = CompiledPredictor.from_model(
             model, sensor_cols=self.sensor_cols
         )
@@ -1041,33 +933,10 @@ class FleetMonitor:
     # -- session end ------------------------------------------------------
 
     def finish(self) -> FleetStats:
-        """Close all open episodes and return fleet-wide statistics.
-
-        When the registry is enabled, also emits one ``obs.worker``
-        event carrying this shard's latency snapshot — run manifests
-        collect these into their per-worker/per-shard section.
-        """
+        """Close all open episodes and return fleet-wide statistics."""
         for s in np.nonzero(self._alarm)[0]:
             self._close_episode(int(s), self._cycle - 1)
-        stats = self.fleet_stats()
-        registry = get_registry()
-        if registry.enabled:
-            registry.event(
-                "obs.worker",
-                source="monitor",
-                shard=self.shard,
-                n_streams=stats.n_streams,
-                cycles=stats.cycles,
-                events=stats.events,
-                failovers=stats.failovers,
-                snapshot={
-                    "schema": SNAPSHOT_SCHEMA,
-                    "counters": {},
-                    "gauges": {},
-                    "timers": {"monitor.step": self._latency.snapshot()},
-                },
-            )
-        return stats
+        return self.fleet_stats()
 
     def fleet_stats(self) -> FleetStats:
         """Materialized fleet-wide statistics (episodes as of now)."""
@@ -1082,5 +951,4 @@ class FleetMonitor:
             ),
             failovers=sum(len(f) for f in self.failures),
             degraded_streams=int(self._detected.any(axis=1).sum()),
-            step_latency=self._latency.summary(),
         )

@@ -63,8 +63,8 @@ class JsonlSink:
     def emit(self, event: Dict[str, Any]) -> None:
         """Write one event as a JSON line (flushed immediately).
 
-        Thread-safe: concurrent emitters (e.g. parallel fitting
-        scopes) cannot interleave partial lines.
+        The lock serializes emits, so threads that share the sink never
+        interleave partial lines.
         """
         with self._lock:
             if self._fh is None:

@@ -55,8 +55,8 @@ def convergence_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
 def worker_stats(registry: MetricsRegistry) -> List[Dict[str, Any]]:
     """Per-worker/per-shard telemetry harvested from ``obs.worker`` events.
 
-    Parallel drivers (``ShardedFleet``, ``FleetMonitor``) emit one
-    ``obs.worker`` event per child after merging its registry snapshot
+    The sharded serving fleet (``ShardedFleet``) emits one
+    ``obs.worker`` event per worker after merging its registry snapshot
     back into the parent; each entry keeps the ``source``, the
     worker/shard id, and the child's full metrics snapshot (so a
     manifest can show merged totals *and* the per-worker breakdown).

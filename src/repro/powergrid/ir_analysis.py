@@ -1,9 +1,8 @@
 """Static (DC) IR-drop analysis of the power grid.
 
-Used both on its own (average-power IR maps, worst-drop reports) and by
-the transient solver to compute consistent initial conditions, so that
-simulations start from the grid's true operating point instead of a flat
-VDD map.
+Average-power IR maps and worst-drop reports.  The transient solver
+does not call this module: ``TransientSolver.initial_state`` builds,
+factorizes and caches the same DC system itself.
 """
 
 from __future__ import annotations

@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.core.pipeline import PlacementModel
 from repro.monitor.faults import FaultPolicy
-from repro.monitor.fleet import EmergencyEvent, FleetStats, SensorFailure
+from repro.monitor.fleet import (
+    EmergencyEvent,
+    FleetStats,
+    SensorFailure,
+    check_swap_layout,
+)
 from repro.obs import get_registry
 from repro.serve.shard import block_bytes, run_worker, slot_views
 from repro.utils.validation import check_integer
@@ -431,12 +436,20 @@ class ShardedFleet:
         afterwards by the new one — a deterministic boundary regardless
         of worker timing.  No frames are dropped.  Of several swaps
         between two chunks only the last is sent.
+
+        The model must read the fleet's sensor layout and predict the
+        same blocks (see :func:`~repro.monitor.fleet.check_swap_layout`);
+        otherwise ``ValueError`` is raised here, before the version
+        changes, rather than later in a worker.
         """
         if self._inflight is not None:
             raise RuntimeError(
                 "hot_swap with a partially pushed chunk in flight; finish "
                 "the try_submit_chunk retry loop first"
             )
+        check_swap_layout(
+            model, self.model.sensor_candidate_cols, self.model.n_blocks
+        )
         self._version += 1
         self.model = model
         registry = get_registry()

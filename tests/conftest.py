@@ -119,6 +119,37 @@ def make_synthetic_dataset(
     return dataset
 
 
+def replay_cycle_by_cycle(fleet, streams: np.ndarray) -> np.ndarray:
+    """Serve ``(S, T, Q)`` readings through ``fleet``'s scalar state machine.
+
+    The per-cycle reference of ``FleetMonitor.run_batch`` for a fleet
+    without a fault policy: every cycle of every stream is predicted
+    alone by ``fleet.predictor_for(s).predict`` and its minimum fed to
+    ``fleet._advance_single``.  Returns the ``(S, T)`` alarm flags;
+    episodes and statistics accumulate on ``fleet`` as ``run_batch``
+    would leave them.
+    """
+    n_streams, n_cycles, _ = streams.shape
+    flags = np.zeros((n_streams, n_cycles), dtype=bool)
+    for t in range(n_cycles):
+        for s in range(n_streams):
+            pred = fleet.predictor_for(s).predict(streams[s, t : t + 1])[0]
+            fleet._advance_single(
+                s, float(pred.min()), int(pred.argmin()), fleet.cycles
+            )
+            flags[s, t] = fleet._alarm[s]
+        fleet._cycle += 1
+    return flags
+
+
+def assert_same_outcome(a, b) -> None:
+    """Two fleets logged the same episodes and per-stream statistics
+    (cycles, alarm cycles, episode count, minimum prediction)."""
+    assert a.events == b.events
+    for s in range(a.n_streams):
+        assert a.stream_stats(s) == b.stream_stats(s)
+
+
 @pytest.fixture
 def synthetic_dataset() -> VoltageDataset:
     """A fresh controlled synthetic dataset."""

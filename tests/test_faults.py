@@ -69,16 +69,6 @@ class TestInjectors:
         assert np.isfinite(chunk[:2, 0]).all()
         assert np.isnan(chunk[2:, 0]).all()
 
-    def test_apply_at_matches_apply(self):
-        rng = np.random.default_rng(0)
-        stream = rng.uniform(0.8, 1.0, (30, 4))
-        fault = DriftFault(channel=2, start=7, anchor=1.2, rate=0.01)
-        whole = fault.apply(stream)
-        rows = np.array(
-            [fault.apply_at(stream[t], t) for t in range(30)]
-        )
-        assert np.array_equal(whole, rows)
-
     def test_batch_apply_matches_per_stream(self):
         rng = np.random.default_rng(1)
         batch = rng.uniform(0.8, 1.0, (3, 25, 4))

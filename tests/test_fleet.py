@@ -7,16 +7,20 @@ import pytest
 
 import repro.obs as obs
 from repro.core import PipelineConfig, fit_placement
+from repro.core.pipeline import placement_model_from_cols
 from repro.monitor import (
     CompiledPredictor,
     DropoutFault,
     FaultPolicy,
     FleetMonitor,
     StuckAtFault,
-    VoltageMonitor,
 )
 from repro.monitor.fleet import _stable_rows
-from tests.conftest import make_synthetic_dataset
+from tests.conftest import (
+    assert_same_outcome,
+    make_synthetic_dataset,
+    replay_cycle_by_cycle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,14 +141,6 @@ class TestFleetMonitorValidation:
         with pytest.raises(TypeError, match="FaultPolicy"):
             FleetMonitor(model, threshold=0.9, policy=object())
 
-    def test_step_shape_validated(self, fitted):
-        _, model = fitted
-        fleet = FleetMonitor(model, threshold=0.9, n_streams=2)
-        with pytest.raises(ValueError, match="one row per stream"):
-            fleet.step(np.zeros(fleet.n_sensors))
-        with pytest.raises(ValueError, match="one row per stream"):
-            fleet.step(np.zeros((3, fleet.n_sensors)))
-
     def test_run_batch_shape_validated(self, fitted):
         _, model = fitted
         fleet = FleetMonitor(model, threshold=0.9, n_streams=2)
@@ -155,49 +151,28 @@ class TestFleetMonitorValidation:
 
 
 class TestFleetVsSingleStream:
-    def test_fleet_step_equals_independent_monitors(self, fitted):
-        ds, model = fitted
-        n_streams, n_cycles = 5, 120
-        thr = _alarm_threshold(model, ds)
-        streams = _streams(model, ds, n_streams, n_cycles, seed=4)
-        cols = model.sensor_candidate_cols
-
-        fleet = FleetMonitor(model, thr, debounce=2, n_streams=n_streams)
-        singles = [VoltageMonitor(model, thr, debounce=2) for _ in range(n_streams)]
-        n_inputs = model.n_inputs
-        for t in range(n_cycles):
-            flags = fleet.step(streams[:, t, :])
-            for s, mon in enumerate(singles):
-                v = np.zeros(n_inputs)
-                v[cols] = streams[s, t]
-                assert mon.step(v) == bool(flags[s])
-        fleet.finish()
-        for s, mon in enumerate(singles):
-            stats = mon.finish()
-            assert mon.events == fleet.events[s]
-            assert stats.alarm_cycles == fleet.stream_stats(s).alarm_cycles
-            assert stats.min_predicted == fleet.stream_stats(s).min_predicted
+    """``run_batch`` against the per-cycle reference: each stream's
+    scalar state machine driven one cycle at a time
+    (``tests.conftest.replay_cycle_by_cycle``)."""
 
     def test_run_batch_matches_looped_monitors_5x_faster(self, fitted):
-        """At S = 16, one run_batch over the (S, T, Q) tensor equals S
-        looped single-stream monitors (flags, episodes, alarm cycles,
-        minimum prediction) and is at least 5x faster."""
+        """At S = 16, one run_batch over the (S, T, Q) tensor equals the
+        per-cycle reference (flags, episodes, alarm cycles, minimum
+        prediction) and is at least 5x faster than serving the same
+        streams one cycle per run_batch call."""
         ds, model = fitted
         n_streams, n_cycles = 16, 400
         thr = _alarm_threshold(model, ds, quantile=0.1)
         streams = _streams(model, ds, n_streams, n_cycles, seed=11)
-        candidates = np.zeros((n_streams, n_cycles, model.n_inputs))
-        candidates[:, :, model.sensor_candidate_cols] = streams
 
+        looped = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
         t0 = time.perf_counter()
-        singles = [
-            VoltageMonitor(model, thr, debounce=3) for _ in range(n_streams)
-        ]
-        loop_flags = np.array(
-            [mon.run(c) for mon, c in zip(singles, candidates)]
+        loop_flags = np.concatenate(
+            [looped.run_batch(streams[:, t : t + 1]) for t in range(n_cycles)],
+            axis=1,
         )
-        loop_stats = [mon.finish() for mon in singles]
         loop_s = time.perf_counter() - t0
+        looped.finish()
 
         fleet = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
         t0 = time.perf_counter()
@@ -205,37 +180,38 @@ class TestFleetVsSingleStream:
         batch_s = time.perf_counter() - t0
         fleet.finish()
 
-        assert np.array_equal(loop_flags, batch_flags)
+        oracle = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
+        oracle_flags = replay_cycle_by_cycle(oracle, streams)
+        oracle.finish()
+
         assert any(fleet.events)
-        for s, (mon, stats) in enumerate(zip(singles, loop_stats)):
-            assert mon.events == fleet.events[s]
-            assert stats.alarm_cycles == fleet.stream_stats(s).alarm_cycles
-            assert stats.min_predicted == fleet.stream_stats(s).min_predicted
+        assert np.array_equal(oracle_flags, batch_flags)
+        assert_same_outcome(oracle, fleet)
+        assert np.array_equal(loop_flags, batch_flags)
+        assert_same_outcome(looped, fleet)
         assert loop_s / batch_s >= 5.0
 
-    def test_run_batch_equals_step_loop_bitwise(self, fitted):
+    def test_run_batch_equals_cycle_oracle_bitwise(self, fitted):
         ds, model = fitted
         n_streams, n_cycles = 4, 150
         thr = _alarm_threshold(model, ds)
         streams = _streams(model, ds, n_streams, n_cycles, seed=5)
 
-        stepper = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
-        step_flags = np.array(
-            [stepper.step(streams[:, t, :]) for t in range(n_cycles)]
-        ).T
-        stepper.finish()
+        oracle = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
+        oracle_flags = replay_cycle_by_cycle(oracle, streams)
+        oracle.finish()
 
         batcher = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
         batch_flags = batcher.run_batch(streams)
         batcher.finish()
 
-        assert np.array_equal(step_flags, batch_flags)
-        assert stepper.events == batcher.events
-        assert np.array_equal(stepper._alarm_cycles, batcher._alarm_cycles)
-        assert np.array_equal(stepper._min_pred, batcher._min_pred)
+        assert any(batcher.events)
+        assert np.array_equal(oracle_flags, batch_flags)
+        assert_same_outcome(oracle, batcher)
 
     def test_run_batch_chunked_equals_single_call(self, fitted):
-        """Debounce/episode/frozen state must carry across run_batch calls."""
+        """Debounce/episode/frozen state must carry across run_batch
+        calls, down to one cycle per call."""
         ds, model = fitted
         n_streams, n_cycles = 3, 160
         thr = _alarm_threshold(model, ds)
@@ -252,24 +228,29 @@ class TestFleetVsSingleStream:
                              policy=policy)
         flags_whole = whole.run_batch(streams)
         whole.finish()
+        assert all(whole.failures)
 
-        chunked = FleetMonitor(model, thr, debounce=2, n_streams=n_streams,
-                               policy=policy)
-        parts = [
-            chunked.run_batch(streams[:, lo:hi, :])
-            for lo, hi in ((0, 1), (1, 73), (73, 74), (74, n_cycles))
+        splits = [
+            [0, 1, 73, 74, n_cycles],  # the frozen run straddles 73|74
+            list(range(n_cycles + 1)),  # one cycle per call
         ]
-        flags_chunked = np.concatenate(parts, axis=1)
-        chunked.finish()
+        for bounds in splits:
+            chunked = FleetMonitor(model, thr, debounce=2,
+                                   n_streams=n_streams, policy=policy)
+            parts = [
+                chunked.run_batch(streams[:, lo:hi, :])
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            flags_chunked = np.concatenate(parts, axis=1)
+            chunked.finish()
 
-        assert np.array_equal(flags_whole, flags_chunked)
-        assert whole.events == chunked.events
-        assert whole.failures == chunked.failures
-        assert np.array_equal(whole._alarm_cycles, chunked._alarm_cycles)
-        assert np.array_equal(whole._min_pred, chunked._min_pred)
+            assert np.array_equal(flags_whole, flags_chunked)
+            assert whole.failures == chunked.failures
+            assert_same_outcome(whole, chunked)
 
-    def test_nan_streams_without_policy_match_step(self, fitted):
-        """NaN v_min takes the scalar replay path; still equals step mode."""
+    def test_nan_streams_without_policy_match_oracle(self, fitted):
+        """NaN v_min takes the scalar replay path; still equals the
+        per-cycle reference."""
         ds, model = fitted
         n_streams, n_cycles = 2, 60
         thr = _alarm_threshold(model, ds)
@@ -278,37 +259,19 @@ class TestFleetVsSingleStream:
             streams[0]
         )
 
-        stepper = FleetMonitor(model, thr, debounce=2, n_streams=n_streams)
-        step_flags = np.array(
-            [stepper.step(streams[:, t, :]) for t in range(n_cycles)]
-        ).T
-        stepper.finish()
+        oracle = FleetMonitor(model, thr, debounce=2, n_streams=n_streams)
+        oracle_flags = replay_cycle_by_cycle(oracle, streams)
+        oracle.finish()
 
         batcher = FleetMonitor(model, thr, debounce=2, n_streams=n_streams)
         batch_flags = batcher.run_batch(streams)
         batcher.finish()
 
-        assert np.array_equal(step_flags, batch_flags)
-        assert stepper.events == batcher.events
-        assert np.array_equal(stepper._alarm_cycles, batcher._alarm_cycles)
+        assert np.array_equal(oracle_flags, batch_flags)
+        assert_same_outcome(oracle, batcher)
 
 
 class TestFleetBehaviour:
-    def test_on_emergency_callback_gets_stream_index(self, fitted):
-        ds, model = fitted
-        thr = _alarm_threshold(model, ds, quantile=0.5)
-        seen = []
-        fleet = FleetMonitor(
-            model, thr, n_streams=3,
-            on_emergency=lambda s, ev: seen.append((s, ev)),
-        )
-        fleet.run_batch(_streams(model, ds, 3, 80, seed=8))
-        fleet.finish()
-        assert seen
-        assert len(seen) == sum(len(ev) for ev in fleet.events)
-        for s, ev in seen:
-            assert ev in fleet.events[s]
-
     def test_finish_closes_open_episodes_and_aggregates(self, fitted):
         ds, model = fitted
         thr = _alarm_threshold(model, ds, quantile=0.99)  # almost always below
@@ -346,3 +309,70 @@ class TestFleetBehaviour:
             snap = registry.snapshot()
         assert snap["counters"]["monitor.batch_cycles"] == 120
         assert snap["timers"]["monitor.run_batch"]["count"] == 1
+
+    def test_swap_rederives_failover_chains_from_new_model(self, fitted):
+        ds, model = fitted
+        cols = model.sensor_candidate_cols
+        other = placement_model_from_cols(make_synthetic_dataset(seed=4), cols)
+        assert np.array_equal(other.sensor_candidate_cols, cols)
+
+        # Stream 1 loses sensor positions 1 then 4; stream 0 stays healthy.
+        streams = _streams(model, ds, 2, 30, seed=12)
+        streams[1] = DropoutFault(channel=1, start=5).apply(streams[1])
+        streams[1] = DropoutFault(channel=4, start=15).apply(streams[1])
+        policy = FaultPolicy(v_lo=0.5, v_hi=1.5, frozen_window=8)
+        fleet = FleetMonitor(model, 1e-6, n_streams=2, policy=policy)
+        fleet.run_batch(streams)
+        c1, c2 = int(cols[1]), int(cols[4])
+        assert [f.candidate_col for f in fleet.failures[1]] == [c1, c2]
+        assert fleet.failures[0] == []
+        failures = [list(f) for f in fleet.failures]
+        degraded = fleet.degraded.copy()
+        old_coef = fleet.predictor_for(1).coef_t.copy()
+
+        fleet.swap_model(other)
+
+        assert fleet.model_for(0) is other
+        expected = CompiledPredictor.from_model(
+            other.fallback_models()[c1].without_sensor(c2), sensor_cols=cols
+        )
+        served = fleet.predictor_for(1)
+        assert np.array_equal(served.coef_t, expected.coef_t)
+        assert np.array_equal(served.intercept, expected.intercept)
+        assert not np.array_equal(served.coef_t, old_coef)
+        assert fleet.failures == failures
+        assert np.array_equal(fleet.degraded, degraded)
+
+    def test_swap_to_another_layout_rejected(self, fitted):
+        ds, model = fitted
+        cols = model.sensor_candidate_cols
+        col = int(cols[-1])
+        threshold = _alarm_threshold(model, ds)
+        streams = _streams(model, ds, 2, 60, seed=13)
+        # The dropped sensor sticks after the swap attempt.
+        streams = StuckAtFault(
+            channel=cols.size - 1, start=25, value=0.93
+        ).apply(streams)
+        policy = FaultPolicy(v_lo=0.5, v_hi=1.5, frozen_window=8)
+        fewer_blocks = placement_model_from_cols(
+            make_synthetic_dataset(seed=3, n_blocks=4), cols
+        )
+
+        ref = FleetMonitor(model, threshold, n_streams=2, policy=policy)
+        ref_flags = ref.run_batch(streams)
+        ref.finish()
+
+        fleet = FleetMonitor(model, threshold, n_streams=2, policy=policy)
+        flags = [fleet.run_batch(streams[:, :20])]
+        with pytest.raises(ValueError, match="sensor columns"):
+            fleet.swap_model(model.without_sensor(col))
+        with pytest.raises(ValueError, match="blocks"):
+            fleet.swap_model(fewer_blocks)
+        assert fleet.model is model
+        flags.append(fleet.run_batch(streams[:, 20:]))
+        fleet.finish()
+
+        assert [f.candidate_col for f in fleet.failures[0]] == [col]
+        assert np.array_equal(np.concatenate(flags, axis=1), ref_flags)
+        assert fleet.failures == ref.failures
+        assert_same_outcome(fleet, ref)

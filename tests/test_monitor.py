@@ -1,4 +1,8 @@
-"""Tests for repro.monitor (streaming runtime monitoring)."""
+"""Tests for repro.monitor's episode semantics on a single stream.
+
+Each stream is served as a fleet of one through
+``FleetMonitor.run_batch``, the monitor's only serving path.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from repro.core.pipeline import PipelineConfig, PlacementModel, ScopeModel
 from repro.core.predictor import VoltagePredictor
 from repro.core.selection import SelectionResult
 from repro.core.group_lasso import GroupLassoResult
-from repro.monitor.runtime import VoltageMonitor
+from repro.monitor import FleetMonitor
 
 
 def identity_model(n_blocks=2):
@@ -37,33 +41,42 @@ def identity_model(n_blocks=2):
     )
 
 
-class TestVoltageMonitor:
+def serve(stream, debounce=1, model=None, threshold=0.85):
+    """Serve one ``(T, Q)`` stream as a fleet of one; returns
+    ``(flags, fleet)`` with the fleet still open."""
+    fleet = FleetMonitor(
+        identity_model() if model is None else model,
+        threshold,
+        debounce=debounce,
+        n_streams=1,
+    )
+    flags = fleet.run_batch(np.asarray(stream, dtype=float)[np.newaxis])[0]
+    return flags, fleet
+
+
+class TestFleetOfOne:
     def test_immediate_alarm(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        assert not mon.step(np.array([0.9, 0.9]))
-        assert mon.step(np.array([0.84, 0.9]))
-        assert not mon.step(np.array([0.9, 0.9]))
-        stats = mon.finish()
+        flags, fleet = serve([[0.9, 0.9], [0.84, 0.9], [0.9, 0.9]])
+        assert flags.tolist() == [False, True, False]
+        fleet.finish()
+        stats = fleet.stream_stats(0)
         assert stats.cycles == 3
         assert stats.alarm_cycles == 1
         assert stats.events == 1
 
     def test_event_log_contents(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        mon.run(
-            np.array(
-                [
-                    [0.9, 0.9],
-                    [0.84, 0.9],
-                    [0.80, 0.9],
-                    [0.9, 0.9],
-                    [0.9, 0.82],
-                ]
-            )
+        _, fleet = serve(
+            [
+                [0.9, 0.9],
+                [0.84, 0.9],
+                [0.80, 0.9],
+                [0.9, 0.9],
+                [0.9, 0.82],
+            ]
         )
-        stats = mon.finish()
-        assert stats.events == 2
-        first, second = mon.events
+        fleet.finish()
+        assert fleet.stream_stats(0).events == 2
+        first, second = fleet.events[0]
         assert (first.start_cycle, first.end_cycle) == (1, 2)
         assert first.min_predicted == pytest.approx(0.80)
         assert first.worst_block == 0
@@ -71,77 +84,70 @@ class TestVoltageMonitor:
         assert second.duration == 1
 
     def test_debounce_suppresses_glitches(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=2)
-        flags = mon.run(
-            np.array(
-                [
-                    [0.84, 0.9],  # single-cycle glitch: suppressed
-                    [0.9, 0.9],
-                    [0.84, 0.9],  # two in a row: alarm on 2nd
-                    [0.84, 0.9],
-                    [0.9, 0.9],
-                ]
-            )
+        flags, _ = serve(
+            [
+                [0.84, 0.9],  # single-cycle glitch: suppressed
+                [0.9, 0.9],
+                [0.84, 0.9],  # two in a row: alarm on 2nd
+                [0.84, 0.9],
+                [0.9, 0.9],
+            ],
+            debounce=2,
         )
         assert flags.tolist() == [False, False, False, True, False]
 
-    def test_callback_invoked(self):
-        seen = []
-        mon = VoltageMonitor(
-            identity_model(), threshold=0.85, on_emergency=seen.append
-        )
-        mon.run(np.array([[0.8, 0.9], [0.9, 0.9]]))
-        assert len(seen) == 1
-        assert seen[0].min_predicted == pytest.approx(0.8)
-
     def test_finish_closes_open_episode(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        mon.step(np.array([0.8, 0.9]))
-        stats = mon.finish()
-        assert stats.events == 1
-        assert mon.events[0].end_cycle == 0
+        _, fleet = serve([[0.8, 0.9]])
+        fleet.finish()
+        assert fleet.stream_stats(0).events == 1
+        assert fleet.events[0][0].end_cycle == 0
 
     def test_min_predicted_tracked(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        mon.run(np.array([[0.9, 0.87], [0.86, 0.91]]))
-        assert mon.finish().min_predicted == pytest.approx(0.86)
+        _, fleet = serve([[0.9, 0.87], [0.86, 0.91]])
+        fleet.finish()
+        assert fleet.stream_stats(0).min_predicted == pytest.approx(0.86)
 
-    def test_run_shape_check(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        with pytest.raises(ValueError):
-            mon.run(np.ones(4))
+    def test_nan_neither_closes_nor_extends(self):
+        # Block 0 reads 0.8, NaN, 0.8, 0.9: the NaN cycle keeps the open
+        # episode open but breaks the debounce streak.
+        stream = [[0.8, 0.9], [np.nan, 0.9], [0.8, 0.9], [0.9, 0.9]]
+        flags, fleet = serve(stream, debounce=1)
+        fleet.finish()
+        assert flags.tolist() == [True, True, True, False]
+        (event,) = fleet.events[0]
+        assert (event.start_cycle, event.end_cycle) == (0, 2)
+        assert event.min_predicted == 0.8
+        assert fleet.stream_stats(0).alarm_cycles == 3
 
-    def test_step_rejects_2d_input(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        with pytest.raises(ValueError, match=r"1-D \(M,\)"):
-            mon.step(np.ones((3, 2)))
-
-    def test_step_rejects_short_vector_with_clear_message(self):
-        mon = VoltageMonitor(identity_model(n_blocks=3), threshold=0.85)
-        with pytest.raises(ValueError, match="has 2 entries.*at least 3"):
-            mon.step(np.ones(2))
-
-    def test_step_accepts_extra_candidate_columns(self):
-        # Readings may carry the full candidate vector; only the
-        # model's sensor columns are consumed.
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        assert not mon.step(np.array([0.9, 0.9, 123.0, -7.0]))
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            VoltageMonitor(identity_model(), threshold=0.0)
-        with pytest.raises(ValueError):
-            VoltageMonitor(identity_model(), threshold=0.85, debounce=0)
+        flags, fleet = serve(stream, debounce=2)
+        fleet.finish()
+        assert not flags.any()
+        assert fleet.events[0] == []
+        assert fleet.stream_stats(0).alarm_cycles == 0
 
     def test_on_real_fitted_model(self, tiny_data):
         from repro.core import fit_placement
 
         model = fit_placement(tiny_data.train, PipelineConfig(budget=1.0))
-        mon = VoltageMonitor(model, threshold=0.85)
-        flags = mon.run(tiny_data.eval.X[:50])
-        stats = mon.finish()
+        readings = tiny_data.eval.X[:50][:, model.sensor_candidate_cols]
+        flags, fleet = serve(readings, model=model)
+        fleet.finish()
+        stats = fleet.stream_stats(0)
         assert stats.cycles == 50
         assert stats.alarm_cycles == int(flags.sum())
+
+    def test_stats_serialize_to_strict_json(self):
+        # A zero-cycle session has min_predicted == inf; the stats
+        # dataclass must still serialize to valid JSON.
+        import json
+
+        from repro.utils.io import to_jsonable
+
+        fleet = FleetMonitor(identity_model(), threshold=0.85)
+        fleet.finish()
+        payload = to_jsonable(fleet.stream_stats(0))
+        text = json.dumps(payload, allow_nan=False)
+        assert json.loads(text)["min_predicted"] is None
 
 
 class TestDebounceEdgeCases:
@@ -149,72 +155,68 @@ class TestDebounceEdgeCases:
         # With debounce=3, the alarm asserts on the 3rd consecutive
         # below-threshold cycle, but the episode must be backdated to
         # the first below-threshold cycle.
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=3)
-        mon.run(
-            np.array(
-                [
-                    [0.9, 0.9],   # 0
-                    [0.84, 0.9],  # 1: below (streak 1)
-                    [0.83, 0.9],  # 2: below (streak 2)
-                    [0.82, 0.9],  # 3: below (streak 3) -> alarm
-                    [0.9, 0.9],   # 4: recovery closes episode at 3
-                ]
-            )
+        _, fleet = serve(
+            [
+                [0.9, 0.9],   # 0
+                [0.84, 0.9],  # 1: below (streak 1)
+                [0.83, 0.9],  # 2: below (streak 2)
+                [0.82, 0.9],  # 3: below (streak 3) -> alarm
+                [0.9, 0.9],   # 4: recovery closes episode at 3
+            ],
+            debounce=3,
         )
-        stats = mon.finish()
-        assert stats.events == 1
-        event = mon.events[0]
+        fleet.finish()
+        assert fleet.stream_stats(0).events == 1
+        event = fleet.events[0][0]
         assert (event.start_cycle, event.end_cycle) == (1, 3)
         assert event.duration == 3
         assert event.min_predicted == pytest.approx(0.82)
 
     def test_open_episode_at_finish_with_debounce(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=2)
-        mon.run(np.array([[0.84, 0.9], [0.83, 0.9], [0.82, 0.9]]))
-        assert mon.alarm_active
-        stats = mon.finish()
-        assert not mon.alarm_active
-        assert stats.events == 1
-        event = mon.events[0]
+        _, fleet = serve(
+            [[0.84, 0.9], [0.83, 0.9], [0.82, 0.9]], debounce=2
+        )
+        assert fleet.alarm_active[0]
+        fleet.finish()
+        assert not fleet.alarm_active[0]
+        assert fleet.stream_stats(0).events == 1
+        event = fleet.events[0][0]
         assert (event.start_cycle, event.end_cycle) == (0, 2)
         assert event.min_predicted == pytest.approx(0.82)
 
     def test_glitch_never_reaches_debounce(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=3)
-        mon.run(
-            np.array(
-                [[0.84, 0.9], [0.84, 0.9], [0.9, 0.9], [0.84, 0.9], [0.9, 0.9]]
-            )
+        _, fleet = serve(
+            [[0.84, 0.9], [0.84, 0.9], [0.9, 0.9], [0.84, 0.9], [0.9, 0.9]],
+            debounce=3,
         )
-        stats = mon.finish()
+        fleet.finish()
+        stats = fleet.stream_stats(0)
         assert stats.events == 0
         assert stats.alarm_cycles == 0
-        assert stats.step_latency is not None  # latency still tracked
 
     def test_alarm_cycles_match_episode_durations(self):
         # Regression: episodes are backdated to the start of the
         # debounce streak, but alarm_cycles used to count only from the
         # assertion cycle, so the two bookkeepings disagreed by
         # (debounce - 1) per episode.
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=3)
-        mon.run(
-            np.array(
-                [
-                    [0.9, 0.9],
-                    [0.84, 0.9],
-                    [0.83, 0.9],
-                    [0.82, 0.9],  # alarm asserts, episode backdated to 1
-                    [0.84, 0.9],
-                    [0.9, 0.9],   # closes episode [1..4]
-                    [0.84, 0.9],
-                    [0.83, 0.9],
-                    [0.84, 0.9],  # second episode [6..]
-                ]
-            )
+        _, fleet = serve(
+            [
+                [0.9, 0.9],
+                [0.84, 0.9],
+                [0.83, 0.9],
+                [0.82, 0.9],  # alarm asserts, episode backdated to 1
+                [0.84, 0.9],
+                [0.9, 0.9],   # closes episode [1..4]
+                [0.84, 0.9],
+                [0.83, 0.9],
+                [0.84, 0.9],  # second episode [6..]
+            ],
+            debounce=3,
         )
-        stats = mon.finish()  # closes open episode at cycle 8
+        fleet.finish()  # closes open episode at cycle 8
+        stats = fleet.stream_stats(0)
         assert stats.events == 2
-        durations = [e.duration for e in mon.events]
+        durations = [e.duration for e in fleet.events[0]]
         assert durations == [4, 3]
         assert stats.alarm_cycles == sum(durations)
 
@@ -225,55 +227,22 @@ class TestDebounceEdgeCases:
         stream = np.full((200, 2), 0.9)
         dips = rng.random(200) < 0.35
         stream[dips, 0] = 0.8
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=debounce)
-        mon.run(stream)
-        stats = mon.finish()
-        assert stats.alarm_cycles == sum(e.duration for e in mon.events)
-        assert stats.events == len(mon.events)
+        _, fleet = serve(stream, debounce=debounce)
+        fleet.finish()
+        stats = fleet.stream_stats(0)
+        assert stats.alarm_cycles == sum(e.duration for e in fleet.events[0])
+        assert stats.events == len(fleet.events[0])
 
     def test_episode_min_includes_debounce_prefix(self):
         # The deepest dip of an episode can occur before the alarm
         # asserts; the backdated episode must report it.
-        mon = VoltageMonitor(identity_model(), threshold=0.85, debounce=3)
-        mon.run(
-            np.array(
-                [[0.80, 0.9], [0.83, 0.9], [0.84, 0.9], [0.9, 0.9]]
-            )
+        _, fleet = serve(
+            [[0.80, 0.9], [0.83, 0.9], [0.84, 0.9], [0.9, 0.9]], debounce=3
         )
-        stats = mon.finish()
-        assert stats.events == 1
-        assert mon.events[0].min_predicted == pytest.approx(0.80)
-        assert mon.events[0].worst_block == 0
-
-
-class TestStepLatency:
-    def test_latency_stats_populated(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        mon.run(np.full((20, 2), 0.9))
-        summary = mon.latency_summary()
-        assert summary.count == 20
-        assert summary.total > 0
-        assert summary.minimum <= summary.p50 <= summary.maximum
-        stats = mon.finish()
-        assert stats.step_latency.count == 20
-
-    def test_zero_cycle_session(self):
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        stats = mon.finish()
-        assert stats.step_latency.count == 0
-        assert stats.min_predicted == float("inf")
-
-    def test_stats_serialize_to_strict_json(self):
-        # A zero-cycle session has min_predicted == inf; the stats
-        # dataclass must still serialize to valid JSON.
-        import json
-
-        from repro.utils.io import to_jsonable
-
-        mon = VoltageMonitor(identity_model(), threshold=0.85)
-        payload = to_jsonable(mon.finish())
-        text = json.dumps(payload, allow_nan=False)
-        assert json.loads(text)["min_predicted"] is None
+        fleet.finish()
+        assert fleet.stream_stats(0).events == 1
+        assert fleet.events[0][0].min_predicted == pytest.approx(0.80)
+        assert fleet.events[0][0].worst_block == 0
 
 
 class TestEmergencyEventStream:
@@ -281,9 +250,8 @@ class TestEmergencyEventStream:
         import repro.obs as obs
 
         with obs.use_registry(obs.MetricsRegistry()) as reg:
-            mon = VoltageMonitor(identity_model(), threshold=0.85)
-            mon.run(np.array([[0.8, 0.9], [0.9, 0.9], [0.9, 0.78]]))
-            mon.finish()
+            _, fleet = serve([[0.8, 0.9], [0.9, 0.9], [0.9, 0.78]])
+            fleet.finish()
         events = reg.events_named("monitor.emergency")
         assert len(events) == 2
         assert events[0]["start_cycle"] == 0
@@ -296,9 +264,8 @@ class TestEmergencyEventStream:
         import repro.obs as obs
 
         with obs.use_registry(obs.MetricsRegistry(enabled=False)) as reg:
-            mon = VoltageMonitor(identity_model(), threshold=0.85)
-            mon.run(np.array([[0.8, 0.9]]))
-            stats = mon.finish()
+            _, fleet = serve([[0.8, 0.9]])
+            fleet.finish()
         assert reg.events == []
-        # Local latency tracking is independent of the global registry.
-        assert stats.step_latency.count == 1
+        # The fleet's own episode log is independent of the registry.
+        assert len(fleet.events[0]) == 1

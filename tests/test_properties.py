@@ -258,7 +258,7 @@ class TestFaultInjectorProperties:
 
 
 class TestMonitorEquivalence:
-    """Bit-for-bit equivalence of the three serving paths."""
+    """``run_batch`` against the per-cycle reference, bit for bit."""
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -284,46 +284,15 @@ class TestMonitorEquivalence:
     @given(
         debounce=st.integers(1, 4),
         seed=st.integers(0, 50),
-        nan_frac=st.sampled_from([0.0, 0.0, 0.02]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_fleet_of_one_equals_voltage_monitor(
-        self, fitted, debounce, seed, nan_frac
-    ):
-        from repro.monitor import FleetMonitor, VoltageMonitor
-
-        ds, model, thr = fitted
-        stream = self._stream(ds, model, 90, seed, nan_frac)
-        cols = model.sensor_candidate_cols
-
-        mon = VoltageMonitor(model, thr, debounce=debounce)
-        candidates = np.zeros((stream.shape[0], model.n_inputs))
-        candidates[:, cols] = stream
-        mon_flags = mon.run(candidates)
-        mon_stats = mon.finish()
-
-        fleet = FleetMonitor(model, thr, debounce=debounce, n_streams=1)
-        fleet_flags = np.array(
-            [fleet.step(row[np.newaxis])[0] for row in stream]
-        )
-        fleet.finish()
-
-        assert np.array_equal(mon_flags, fleet_flags)
-        assert mon.events == fleet.events[0]
-        assert mon_stats.alarm_cycles == fleet.stream_stats(0).alarm_cycles
-        assert mon_stats.min_predicted == fleet.stream_stats(0).min_predicted
-
-    @given(
-        debounce=st.integers(1, 4),
-        seed=st.integers(0, 50),
         split=st.integers(1, 89),
         nan_frac=st.sampled_from([0.0, 0.0, 0.02]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_run_batch_equals_step_loop(
+    def test_run_batch_equals_cycle_oracle(
         self, fitted, debounce, seed, split, nan_frac
     ):
         from repro.monitor import FleetMonitor
+        from tests.conftest import assert_same_outcome, replay_cycle_by_cycle
 
         ds, model, thr = fitted
         streams = np.stack(
@@ -333,11 +302,9 @@ class TestMonitorEquivalence:
             ]
         )
 
-        stepper = FleetMonitor(model, thr, debounce=debounce, n_streams=2)
-        step_flags = np.array(
-            [stepper.step(streams[:, t]) for t in range(90)]
-        ).T
-        stepper.finish()
+        oracle = FleetMonitor(model, thr, debounce=debounce, n_streams=2)
+        oracle_flags = replay_cycle_by_cycle(oracle, streams)
+        oracle.finish()
 
         batcher = FleetMonitor(model, thr, debounce=debounce, n_streams=2)
         batch_flags = np.concatenate(
@@ -349,12 +316,8 @@ class TestMonitorEquivalence:
         )
         batcher.finish()
 
-        assert np.array_equal(step_flags, batch_flags)
-        assert stepper.events == batcher.events
-        for s in range(2):
-            a, b = stepper.stream_stats(s), batcher.stream_stats(s)
-            assert a.alarm_cycles == b.alarm_cycles
-            assert a.min_predicted == b.min_predicted
+        assert np.array_equal(oracle_flags, batch_flags)
+        assert_same_outcome(oracle, batcher)
 
 
 class TestPipelineConsistency:

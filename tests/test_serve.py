@@ -26,7 +26,8 @@ import pytest
 import repro.obs as obs
 import repro.serve.fleet as serve_fleet
 from repro.core import PipelineConfig, fit_placement
-from repro.monitor import DropoutFault, FaultPolicy, FleetMonitor
+from repro.core.pipeline import placement_model_from_cols
+from repro.monitor import DropoutFault, FaultPolicy, FleetMonitor, StuckAtFault
 from repro.obs.manifest import build_manifest, shard_stats
 from repro.serve import ShardedFleet
 from tests.conftest import make_synthetic_dataset
@@ -243,6 +244,55 @@ class TestHotSwap:
             ver == (0 if base < swap_at else 1)
             for base, ver in versions.items()
         )
+
+    def test_swap_to_another_layout_rejected_before_version_bump(
+        self, fitted
+    ):
+        """A model that reads a subset of the layout (or predicts other
+        blocks) is refused at the call, not by a worker later on."""
+        ds, model = fitted
+        cols = model.sensor_candidate_cols
+        threshold = _alarm_threshold(model, ds)
+        frames = _streams(model, ds, n_streams=2, n_cycles=32, seed=14)
+        # The sensor the bad swap drops sticks afterwards.
+        frames = StuckAtFault(
+            channel=cols.size - 1, start=8, value=0.93
+        ).apply(frames)
+        policy = FaultPolicy(v_lo=0.5, v_hi=1.5, frozen_window=8)
+        fewer_blocks = placement_model_from_cols(
+            make_synthetic_dataset(seed=3, n_blocks=4), cols
+        )
+        ref_flags, ref_v_min, ref = _reference(
+            model, threshold, frames, policy=policy
+        )
+
+        fleet = ShardedFleet(
+            model,
+            threshold,
+            n_streams=2,
+            n_shards=1,
+            policy=policy,
+            slot_ticks=8,
+            ring_slots=2,
+        )
+        try:
+            with pytest.raises(ValueError, match="sensor columns"):
+                fleet.hot_swap(model.without_sensor(int(cols[-1])))
+            with pytest.raises(ValueError, match="blocks"):
+                fleet.hot_swap(fewer_blocks)
+            assert fleet.model is model
+            assert fleet.model_version == 0
+            flags, v_min = fleet.run_frames(frames)
+            result = fleet.finish()
+        except BaseException:
+            fleet.abort()
+            raise
+
+        assert np.array_equal(flags, ref_flags)
+        assert np.array_equal(v_min, ref_v_min)
+        assert result.model_version == 0
+        assert all(ref.failures)
+        assert result.failures == ref.failures
 
     def test_swap_rejected_mid_chunk(self, fitted):
         ds, model = fitted
