@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.floorplan.floorplan import Floorplan
-from repro.floorplan.geometry import Point
+from repro.floorplan.geometry import Rect
 
 __all__ = ["NodeClassification", "classify_nodes"]
 
@@ -90,60 +90,60 @@ def classify_nodes(
 
     Notes
     -----
-    Complexity is ``O(n_nodes * n_blocks)`` with an early-out through a
-    per-core bounding box test, which is fast enough for the grid sizes
-    used here (thousands of nodes, hundreds of blocks).
+    A node belongs to the first core rect that contains it, and to the
+    first block in floorplan order that contains it among the blocks it
+    may hit: a node inside core ``c``'s rect hits ``c``'s own blocks
+    first, then the uncore ones; any other node only uncore ones.
+    Containment is :meth:`Rect.contains`'s: lower/left edges inclusive,
+    upper/right edges exclusive.  Each core rect is one boolean mask
+    over all nodes, and each block one mask over the nodes it may hit.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError(f"coords must be (n, 2), got shape {coords.shape}")
+    xs, ys = coords[:, 0], coords[:, 1]
+    blocks = floorplan.blocks
 
-    block_of_node: List[Optional[str]] = []
-    block_nodes: Dict[str, List[int]] = {b.name: [] for b in floorplan.blocks}
-    ba_nodes: List[int] = []
-    core_of_node: List[int] = []
-    ba_nodes_by_core: Dict[int, List[int]] = {}
+    def inside(rect: Rect, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (rect.x <= x) & (x < rect.x2) & (rect.y <= y) & (y < rect.y2)
 
-    # Pre-split blocks by core for the bounding-box early-out.
-    blocks_by_core: Dict[int, list] = {}
-    for blk in floorplan.blocks:
-        blocks_by_core.setdefault(blk.core_index, []).append(blk)
+    # Later writes win, so each group of rects goes in reverse order:
+    # the first containing core rect, and the first eligible block, is
+    # kept.  Uncore blocks go first, so a core's own block overrides
+    # them, and each core's blocks see only that core's nodes.
+    core_of = np.full(len(coords), -1, dtype=np.int64)
+    for idx in reversed(range(len(floorplan.core_rects))):
+        core_of[inside(floorplan.core_rects[idx], xs, ys)] = idx
+    blocks_by_core: Dict[int, List[int]] = {}
+    for j, blk in enumerate(blocks):
+        blocks_by_core.setdefault(blk.core_index, []).append(j)
+    hit = np.full(len(coords), -1, dtype=np.int64)
+    for j in reversed(blocks_by_core.pop(-1, [])):
+        hit[inside(blocks[j].rect, xs, ys)] = j
+    for core, block_ids in blocks_by_core.items():
+        nodes = np.flatnonzero(core_of == core)
+        cx, cy = xs[nodes], ys[nodes]
+        for j in reversed(block_ids):
+            hit[nodes[inside(blocks[j].rect, cx, cy)]] = j
 
-    for idx in range(coords.shape[0]):
-        point = Point(float(coords[idx, 0]), float(coords[idx, 1]))
-        core = floorplan.core_of_point(point)
-        core_of_node.append(core)
-        hit = None
-        # Nodes inside a core rect can only hit that core's blocks;
-        # others can only hit uncore blocks.
-        for blk in blocks_by_core.get(core, []):
-            if blk.rect.contains(point):
-                hit = blk
-                break
-        if hit is None and core != -1:
-            # A node in a core channel may still fall in an uncore block
-            # overlaying the channel in exotic floorplans; check those too.
-            for blk in blocks_by_core.get(-1, []):
-                if blk.rect.contains(point):
-                    hit = blk
-                    break
-        if hit is None and core == -1:
-            for blk in blocks_by_core.get(-1, []):
-                if blk.rect.contains(point):
-                    hit = blk
-                    break
-        if hit is not None:
-            block_of_node.append(hit.name)
-            block_nodes[hit.name].append(idx)
-        else:
-            block_of_node.append(None)
-            ba_nodes.append(idx)
-            ba_nodes_by_core.setdefault(core, []).append(idx)
-
+    names = [b.name for b in blocks]
+    fa = np.flatnonzero(hit >= 0)
+    fa_by_block = np.split(
+        fa[np.argsort(hit[fa], kind="stable")],
+        np.cumsum(np.bincount(hit[fa], minlength=len(blocks)))[:-1],
+    )
+    ba = np.flatnonzero(hit < 0)
+    ba_core = core_of[ba]
+    cores, first = np.unique(ba_core, return_index=True)
     return NodeClassification(
-        block_of_node=block_of_node,
-        block_nodes=block_nodes,
-        ba_nodes=ba_nodes,
-        core_of_node=core_of_node,
-        ba_nodes_by_core=ba_nodes_by_core,
+        block_of_node=[names[j] if j >= 0 else None for j in hit.tolist()],
+        block_nodes={
+            name: nodes.tolist() for name, nodes in zip(names, fa_by_block)
+        },
+        ba_nodes=ba.tolist(),
+        core_of_node=core_of.tolist(),
+        # Keyed in order of each core's first candidate node.
+        ba_nodes_by_core={
+            int(c): ba[ba_core == c].tolist() for c in cores[np.argsort(first)]
+        },
     )

@@ -9,7 +9,10 @@ disk under a hash of the source) and loaded through cffi on first use:
   :mod:`repro.powergrid.fastsolve`;
 * ``gl_fista_step`` — one FISTA iteration of the group lasso after its
   BLAS product (:mod:`repro.core.group_lasso`), with
-  ``gl_pairwise_sum``, the numpy summation order it relies on.
+  ``gl_pairwise_sum``, the numpy summation order it relies on;
+* ``ar1_inplace`` — the AR(1) recurrence of the activity synthesiser's
+  fluctuation traces, all traces in one pass
+  (:mod:`repro.workload.activity`).
 
 Every kernel mirrors its numpy reference path operation for operation
 and the library is compiled with ``-ffp-contract=off`` and without
@@ -318,6 +321,25 @@ void gl_fista_step(
     state[0] = t_new;
     state[1] = dmax / scale;
 }
+
+/* The AR(1) recurrence x[t] = x[t] + rho * x[t-1], in place, down the
+ * rows of a row-major (n_steps, n_series) array: one rounded multiply
+ * and one rounded add per element, as the numpy row loop in
+ * repro.workload.activity computes them.  The inner loop runs over the
+ * contiguous series, so it vectorizes.
+ */
+void ar1_inplace(long n_steps, long n_series, double rho, double *x)
+{
+    long t, j;
+    for (t = 1; t < n_steps; ++t) {
+        const double *prev = x + (t - 1) * n_series;
+        double *cur = x + t * n_series;
+        for (j = 0; j < n_series; ++j) {
+            double push = rho * prev[j];
+            cur[j] = cur[j] + push;
+        }
+    }
+}
 """
 
 _CDEF = """
@@ -346,6 +368,7 @@ void gl_fista_step(
     const double *AT, double *G, double *Y,
     const double *B, double *B_new, double *work,
     double step, double mu_step, double *state);
+void ar1_inplace(long n_steps, long n_series, double rho, double *x);
 """
 
 _lib = None
@@ -382,8 +405,8 @@ def _compile_library() -> Optional[str]:
         tmp_so = os.path.join(tmp, "kernels.so")
         # -ffp-contract=off keeps mul/add sequences exactly as written
         # (no FMA contraction), which the bit-identity guarantees of
-        # be_step_many and gl_fista_step versus their numpy reference
-        # paths depend on.
+        # be_step_many, gl_fista_step and ar1_inplace versus their numpy
+        # reference paths depend on.
         base = [
             cc, "-O3", "-ffp-contract=off", "-fPIC", "-shared",
             c_path, "-o", tmp_so, "-lm",

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.floorplan.blocks import UnitKind
 from repro.floorplan.floorplan import Floorplan
 from repro.workload.benchmarks import BenchmarkSpec
 from repro.workload.events import GatingSchedule, generate_gating_schedule
+from repro.utils.ckernel import get_lib
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.validation import check_integer
 
@@ -103,6 +103,27 @@ def _phase_trace(
     return trace
 
 
+def _ar1_inplace(x: np.ndarray, rho: float, kernel=None) -> None:
+    """Run ``x[t] += rho * x[t - 1]`` down the rows of ``x``, in place.
+
+    ``x`` is a C-ordered ``(n_steps, n_series)`` float64 array whose
+    columns are independent series.  ``kernel`` is the compiled library
+    of :func:`repro.utils.ckernel.get_lib`; given one, its
+    ``ar1_inplace`` runs the recurrence bit-identical to the numpy row
+    loop below, which stays the reference and the fallback.
+    """
+    if x.ndim != 2 or x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise ValueError("x must be a C-ordered 2-D float64 array")
+    if kernel is not None and x.size:
+        ffi, lib = kernel
+        lib.ar1_inplace(
+            x.shape[0], x.shape[1], rho, ffi.from_buffer("double[]", x)
+        )
+        return
+    for t in range(1, x.shape[0]):
+        x[t] += rho * x[t - 1]
+
+
 def generate_activity(
     floorplan: Floorplan,
     spec: BenchmarkSpec,
@@ -114,8 +135,6 @@ def generate_activity(
     gating_scope: str = "unit",
     phase_concentration: float = 6.0,
     burst_boost: float = 0.6,
-    dvfs_rate: float = 0.0,
-    dvfs_scale: float = 0.6,
 ) -> ActivityTraces:
     """Generate activity/gate traces for every block of ``floorplan``.
 
@@ -152,15 +171,6 @@ def generate_activity(
     burst_boost:
         Activity increment applied core-wide during burst windows; the
         bursts are the deep-droop (emergency) events.
-    dvfs_rate:
-        Per-step probability of a per-core DVFS transition (0 disables
-        DVFS, the default).  In the low state a core's effective
-        activity — and therefore its dynamic power — is multiplied by
-        ``dvfs_scale``; transitions ramp over a few steps, producing
-        the medium-magnitude current steps DVFS controllers cause.
-    dvfs_scale:
-        Effective-activity multiplier of the low-frequency state,
-        in (0, 1].
 
     Returns
     -------
@@ -171,10 +181,6 @@ def generate_activity(
         raise ValueError(f"core_coupling must be in [0, 1], got {core_coupling}")
     if gating_scope not in ("unit", "core"):
         raise ValueError(f"gating_scope must be 'unit' or 'core', got {gating_scope!r}")
-    if not 0.0 <= dvfs_rate <= 1.0:
-        raise ValueError(f"dvfs_rate must be in [0, 1], got {dvfs_rate}")
-    if not 0.0 < dvfs_scale <= 1.0:
-        raise ValueError(f"dvfs_scale must be in (0, 1], got {dvfs_scale}")
     rng = make_rng(rng)
     blocks = floorplan.blocks
     n_blocks = len(blocks)
@@ -186,36 +192,37 @@ def generate_activity(
         for cid in core_ids
     }
 
-    def ar1_noise(sigma: float) -> np.ndarray:
-        # x[t] = rho * x[t-1] + innov[t], vectorized through lfilter's
-        # direct-form recursion — the same multiply-add sequence as the
-        # Python loop, so the output is bit-identical.
-        rho = 0.7
-        innov = rng.normal(0.0, sigma, size=n_steps)
-        return lfilter([1.0], [1.0, -rho], innov)
-
     # A shared per-core program trace (IPC phases) that all unit
-    # families of the core follow to degree ``core_coupling``.
+    # families of the core follow to degree ``core_coupling``, and one
+    # own trace per unit family.  Each trace is its phase levels plus
+    # AR(1) fluctuation.  The phase levels and innovations are drawn
+    # trace by trace, cores first, because that is the generator
+    # stream every dataset was made from; the innovations land as the
+    # columns of one array so that one recurrence pass filters them all.
     unit_keys: List[Tuple[int, UnitKind]] = sorted(
         {(b.core_index, b.unit) for b in blocks}, key=lambda ku: (ku[0], ku[1].value)
     )
     mean_affinity = float(
         np.mean([spec.affinity(u) for _, u in unit_keys])
     ) if unit_keys else 0.3
-    core_traces: Dict[int, np.ndarray] = {
-        cid: _phase_trace(
-            n_steps, mean_affinity, spec.phase_length, rng, phase_concentration
+    trace_levels = [mean_affinity] * len(core_ids) + [
+        spec.affinity(unit) for _, unit in unit_keys
+    ]
+    phases: List[np.ndarray] = []
+    noise = np.empty((n_steps, len(trace_levels)))
+    for i, level in enumerate(trace_levels):
+        phases.append(
+            _phase_trace(n_steps, level, spec.phase_length, rng, phase_concentration)
         )
-        + ar1_noise(spec.activity_noise)
-        for cid in core_ids
+        noise[:, i] = rng.normal(0.0, spec.activity_noise, size=n_steps)
+    _ar1_inplace(noise, 0.7, kernel=get_lib())
+    core_traces: Dict[int, np.ndarray] = {
+        cid: phases[i] + noise[:, i] for i, cid in enumerate(core_ids)
     }
 
     unit_traces: Dict[Tuple[int, UnitKind], np.ndarray] = {}
-    for core, unit in unit_keys:
-        own = _phase_trace(
-            n_steps, spec.affinity(unit), spec.phase_length, rng, phase_concentration
-        )
-        own = own + ar1_noise(spec.activity_noise)
+    for k, (core, unit) in enumerate(unit_keys, start=len(core_ids)):
+        own = phases[k] + noise[:, k]
         # Shift the shared core trace to the unit's own mean level so
         # coupling changes correlation, not the unit's duty cycle.
         shared = core_traces[core] - mean_affinity + spec.affinity(unit)
@@ -233,10 +240,8 @@ def generate_activity(
 
     # Gating schedule: one channel per gateable (core, unit), or one
     # shared channel per core under cluster-level gating.
-    gateable_keys = [
-        (core, unit) for core, unit in unit_keys
-        if any(b.gateable for b in blocks if b.core_index == core and b.unit == unit)
-    ]
+    gateable_units = {(b.core_index, b.unit) for b in blocks if b.gateable}
+    gateable_keys = [key for key in unit_keys if key in gateable_units]
     if gating_scope == "core":
         gateable_cores = sorted({core for core, _ in gateable_keys})
         channel_keys: List = list(gateable_cores)
@@ -269,31 +274,13 @@ def generate_activity(
     else:  # pragma: no cover - every template has gateable units
         schedule = GatingSchedule(gate=np.ones((n_steps, 0)), events=[])
 
-    # Optional per-core DVFS state: a 2-state Markov chain whose low
-    # state scales effective activity (dynamic power) by dvfs_scale,
-    # with a 3-step ramp per transition.
-    dvfs_trace = np.ones((n_steps, len(core_ids)))
-    if dvfs_rate > 0.0:
-        ramp = 3
-        for i, cid in enumerate(core_ids):
-            state = 1.0  # start at full frequency
-            level = 1.0
-            for t in range(n_steps):
-                if rng.random() < dvfs_rate:
-                    state = dvfs_scale if state == 1.0 else 1.0
-                step = (1.0 - dvfs_scale) / ramp
-                level = float(np.clip(level + np.clip(state - level, -step, step),
-                                      dvfs_scale, 1.0))
-                dvfs_trace[t, i] = level
-
     activity = np.empty((n_steps, n_blocks))
     gate = np.ones((n_steps, n_blocks))
     for j, blk in enumerate(blocks):
         shared = unit_traces[(blk.core_index, blk.unit)]
         jitter = rng.normal(0.0, block_jitter, size=n_steps)
         boost = burst_boost_arr[:, core_pos[blk.core_index]]
-        scale = dvfs_trace[:, core_pos[blk.core_index]]
-        activity[:, j] = np.clip((shared + jitter + boost) * scale, 0.0, 1.0)
+        activity[:, j] = np.clip(shared + jitter + boost, 0.0, 1.0)
         if blk.gateable:
             gate[:, j] = schedule.gate[:, gate_col[(blk.core_index, blk.unit)]]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.utils.ckernel as ckernel
 from repro.experiments.config import ChipConfig, DataConfig, ExperimentSetup
 from repro.experiments.data_generation import GeneratedData, generate_dataset
 from repro.floorplan import make_small_floorplan, make_xeon_e5_floorplan
@@ -140,6 +141,15 @@ def replay_cycle_by_cycle(fleet, streams: np.ndarray) -> np.ndarray:
             flags[s, t] = fleet._alarm[s]
         fleet._cycle += 1
     return flags
+
+
+def disable_kernel(monkeypatch) -> None:
+    """Force every numpy reference loop for the rest of the test, as
+    ``REPRO_DISABLE_CKERNEL`` does."""
+    monkeypatch.setenv(ckernel.DISABLE_ENV_VAR, "1")
+    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_lib_failed", False)
+    assert ckernel.get_lib() is None
 
 
 def assert_same_outcome(a, b) -> None:

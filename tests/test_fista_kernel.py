@@ -21,7 +21,7 @@ from repro.core.group_lasso import (
 from repro.core.path_engine import LambdaPathEngine
 from repro.core.pipeline import PipelineConfig
 from repro.obs import MetricsRegistry, use_registry
-from tests.conftest import make_synthetic_dataset
+from tests.conftest import disable_kernel, make_synthetic_dataset
 
 #: (K responses, M candidates): a paper core, the two scope sizes of the
 #: lambda-path workload, small and degenerate sizes, a single column
@@ -37,14 +37,6 @@ def kernel():
     # every comparison below pass vacuously.
     assert handle is not None
     return handle
-
-
-def disable_kernel(monkeypatch):
-    """Force the numpy loop for the rest of the test, as the env var does."""
-    monkeypatch.setenv(ckernel.DISABLE_ENV_VAR, "1")
-    monkeypatch.setattr(ckernel, "_lib", None)
-    monkeypatch.setattr(ckernel, "_lib_failed", False)
-    assert ckernel.get_lib() is None
 
 
 def voltage_like(seed, n_responses, n_features, n_samples=240):

@@ -1,5 +1,6 @@
 """Tests for the batched fleet serving core (repro.monitor.fleet)."""
 
+import gc
 import time
 
 import numpy as np
@@ -165,6 +166,10 @@ class TestFleetVsSingleStream:
         thr = _alarm_threshold(model, ds, quantile=0.1)
         streams = _streams(model, ds, n_streams, n_cycles, seed=11)
 
+        # Collect before each timed region: otherwise a full collection
+        # of the objects earlier tests left behind (~50 ms) can land in
+        # the ~5 ms batch call and time the collector, not run_batch.
+        gc.collect()
         looped = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
         t0 = time.perf_counter()
         loop_flags = np.concatenate(
@@ -174,6 +179,7 @@ class TestFleetVsSingleStream:
         loop_s = time.perf_counter() - t0
         looped.finish()
 
+        gc.collect()
         fleet = FleetMonitor(model, thr, debounce=3, n_streams=n_streams)
         t0 = time.perf_counter()
         batch_flags = fleet.run_batch(streams)

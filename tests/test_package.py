@@ -2,12 +2,16 @@
 
 import glob
 import importlib
+import json
 import os
 import py_compile
+import subprocess
+import sys
 
 import pytest
 
 import repro
+import repro.utils.ckernel as ckernel
 
 
 PACKAGES = [
@@ -51,6 +55,63 @@ class TestPublicAPI:
                    generate_dataset, get_placer, EagleEyeModel):
             assert callable(fn)
             assert fn.__doc__  # every public entry point is documented
+
+
+#: scipy subpackages no module under ``repro`` may import.  Loading
+#: ``scipy.signal`` alone pulls in the other four and more than doubled
+#: every process's start-up time and added about 42 MB to its RSS.
+HEAVY_SCIPY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.interpolate",
+    "scipy.spatial",
+)
+
+#: Run in a fresh interpreter: import every module under ``repro``,
+#: generate a tiny dataset, print what was loaded.
+COLD_START_SCRIPT = """
+import importlib, json, pkgutil, sys
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+from repro.experiments.config import ChipConfig, DataConfig, ExperimentSetup
+from repro.experiments.data_generation import generate_dataset
+from repro.utils.ckernel import get_lib
+data = DataConfig(benchmarks=("x264",), steps_per_benchmark=20,
+                  warmup_steps=5, record_every=1, n_samples=20, seed=3)
+generate_dataset(ExperimentSetup(
+    chip=ChipConfig(core_cols=1, core_rows=1, template="small"),
+    train=data, eval=data, name="cold-start"))
+print(json.dumps({"modules": sorted(sys.modules),
+                  "kernel": get_lib() is not None}))
+"""
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("path", ["kernel", "numpy"])
+    def test_no_heavy_scipy_subpackage(self, path):
+        env = dict(os.environ)
+        env.pop("REPRO_DATASET_CACHE", None)
+        env.pop(ckernel.DISABLE_ENV_VAR, None)
+        if path == "numpy":
+            env[ckernel.DISABLE_ENV_VAR] = "1"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["kernel"] == (path == "kernel")
+        heavy = [
+            name for name in loaded["modules"]
+            if any(name == sub or name.startswith(sub + ".") for sub in HEAVY_SCIPY)
+        ]
+        assert heavy == []
 
 
 class TestExamples:
