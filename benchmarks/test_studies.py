@@ -1,50 +1,12 @@
-"""Bench: the evaluation studies beyond the paper's figures.
+"""Bench: the spatial-correlation premise behind the paper's method.
 
-* Threshold sweep — the ME/WAE operating curve as the noise margin
-  moves (the designer's knob the paper fixes at 0.85 V).
-* Robustness — a nominal-fitted placement evaluated on
-  manufacturing-varied dies.
-* Premise check — the spatial-correlation profile that justifies
-  predicting K blocks from Q << K sensors.
+The profile that justifies predicting K blocks from Q << K sensors:
+nearby candidate voltages must be highly correlated.
 """
 
 import numpy as np
 
-from benchmarks.conftest import run_once
-from repro.experiments.robustness import render_robustness, run_robustness_study
-from repro.experiments.threshold_sweep import (
-    render_threshold_sweep,
-    run_threshold_sweep,
-)
 from repro.voltage.correlation import correlation_length, spatial_correlation
-
-
-def test_threshold_sweep(benchmark, bench_data):
-    result = run_once(
-        benchmark, run_threshold_sweep, bench_data, sensors_per_core=2
-    )
-    print()
-    print(render_threshold_sweep(result))
-    # Prevalence rises with the margin; rates stay valid probabilities.
-    assert result.prevalence == sorted(result.prevalence)
-    for rates in result.proposed:
-        assert 0.0 <= rates.total <= 1.0
-
-
-def test_robustness(benchmark, bench_data):
-    result = run_once(
-        benchmark,
-        run_robustness_study,
-        bench_data,
-        n_instances=2,
-        resistance_sigma=0.1,
-        open_fraction=0.02,
-        n_steps=200,
-    )
-    print()
-    print(render_robustness(result))
-    # Moderate fab variation must not destroy the fitted model.
-    assert result.worst_error < 20 * max(result.nominal_error, 1e-4)
 
 
 def test_correlation_premise(benchmark, bench_data):

@@ -43,7 +43,7 @@ from repro.floorplan.xeon_like import (
 )
 from repro.powergrid.grid import PowerGrid
 from repro.powergrid.transient import TransientSolver
-from repro.voltage.critical import select_critical_nodes, select_representative_nodes
+from repro.voltage.critical import select_critical_nodes
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.maps import VoltageMapSet
 from repro.voltage.persistence import load_dataset, save_dataset
@@ -306,10 +306,10 @@ def build_dataset(
     chip: ChipModel,
     maps: VoltageMapSet,
     critical: Optional[Dict[str, int]] = None,
-    nodes_per_block: int = 1,
-    include_fa_candidates: bool = False,
 ) -> VoltageDataset:
     """Assemble the (X, F) dataset from sampled maps.
+
+    X holds every BA candidate node, F each block's critical node.
 
     Parameters
     ----------
@@ -321,53 +321,19 @@ def build_dataset(
         Optional pre-computed critical-node map (block name -> node).
         When omitted it is derived from ``maps`` — pass the *training*
         assignment when building evaluation datasets so both use the
-        same monitored nodes.  Only honoured for ``nodes_per_block=1``.
-    nodes_per_block:
-        Representative nodes monitored per block (paper Section 2.1's
-        "more representative nodes per block" extension).  With r > 1
-        the F matrix gains r columns per block, named
-        ``"<block>#<rank>"``.
-    include_fa_candidates:
-        Allow sensor candidates *inside* the function area as well (the
-        paper's Section 3.2 closing remark).  FA nodes that serve as
-        monitored critical nodes are excluded from the candidate pool.
+        same monitored nodes.
     """
-    if nodes_per_block < 1:
-        raise ValueError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
     cls = chip.classification
-
-    if nodes_per_block == 1:
-        if critical is None:
-            critical = select_critical_nodes(maps.voltages, cls)
-        block_names = [b.name for b in chip.floorplan.blocks]
-        critical_nodes = np.asarray(
-            [critical[name] for name in block_names], dtype=np.int64
-        )
-        block_cores = np.asarray(
-            [b.core_index for b in chip.floorplan.blocks], dtype=np.int64
-        )
-    else:
-        representatives = select_representative_nodes(
-            maps.voltages, cls, nodes_per_block=nodes_per_block
-        )
-        block_names = []
-        nodes_list = []
-        cores_list = []
-        for block in chip.floorplan.blocks:
-            for rank, node in enumerate(representatives[block.name]):
-                block_names.append(f"{block.name}#{rank}")
-                nodes_list.append(node)
-                cores_list.append(block.core_index)
-        critical_nodes = np.asarray(nodes_list, dtype=np.int64)
-        block_cores = np.asarray(cores_list, dtype=np.int64)
-
+    if critical is None:
+        critical = select_critical_nodes(maps.voltages, cls)
+    block_names = [b.name for b in chip.floorplan.blocks]
+    critical_nodes = np.asarray(
+        [critical[name] for name in block_names], dtype=np.int64
+    )
+    block_cores = np.asarray(
+        [b.core_index for b in chip.floorplan.blocks], dtype=np.int64
+    )
     candidate_nodes = np.asarray(cls.ba_nodes, dtype=np.int64)
-    if include_fa_candidates:
-        monitored = set(critical_nodes.tolist())
-        fa_extra = np.asarray(
-            [n for n in cls.fa_nodes() if n not in monitored], dtype=np.int64
-        )
-        candidate_nodes = np.sort(np.concatenate([candidate_nodes, fa_extra]))
     candidate_cores = np.asarray(
         [cls.core_of_node[n] for n in candidate_nodes], dtype=np.int64
     )

@@ -23,7 +23,6 @@ _SECTION_TITLES = {
     "table2": "Table 2 — detection error rates",
     "fig4": "Fig. 4 — error vs sensor count",
     "ablations": "Ablations",
-    "extensions": "Extensions",
 }
 
 

@@ -1,22 +1,27 @@
-"""Placement robustness to manufacturing variation (extension).
+"""Scoring inputs for the placement tournament's robustness columns.
 
-The placement and prediction model are fitted on the *nominal* grid
-(design-time simulation), but every fabricated die deviates from
-nominal.  This study re-simulates evaluation workloads on randomly
-varied grids (resistance spread, open branches) and measures how the
-fitted model's accuracy and detection quality degrade — the question a
-production deployment actually faces.
+The tournament (:mod:`repro.experiments.tournament`) scores every
+placer on two robustness axes, and this module builds both:
+
+* **varied dies** — :func:`simulate_varied_die` re-simulates an
+  evaluation workload on a perturbed copy of the nominal grid
+  (resistance spread, open branches), the deviation every fabricated
+  die shows from the design-time simulation the placement was fitted
+  on;
+* **sensor faults** — :func:`run_sensor_fault_study` injects each
+  fault mode of :data:`FAULT_MODES` into each placed sensor's stream
+  and measures detection latency and the post-failover error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pipeline import PipelineConfig, PlacementModel, fit_placement
-from repro.experiments.data_generation import GeneratedData
+from repro.experiments.data_generation import GeneratedData, _benchmark_load
 from repro.monitor.faults import (
     DriftFault,
     DropoutFault,
@@ -29,62 +34,17 @@ from repro.monitor.fleet import FleetMonitor
 from repro.powergrid.transient import TransientSolver
 from repro.powergrid.variation import with_open_branches, with_resistance_variation
 from repro.voltage.dataset import VoltageDataset
-from repro.voltage.emergencies import any_emergency
-from repro.voltage.metrics import detection_error_rates, mean_relative_error
-from repro.workload.activity import generate_activity
-from repro.workload.benchmarks import get_benchmark
+from repro.voltage.metrics import mean_relative_error
 from repro.utils.rng import seed_for
-from repro.utils.tables import format_table
 
 __all__ = [
-    "RobustnessResult",
     "simulate_varied_die",
-    "run_robustness_study",
-    "render_robustness",
     "FAULT_MODES",
     "check_fault_modes",
     "SensorFaultTrial",
     "SensorFaultResult",
     "run_sensor_fault_study",
-    "render_sensor_faults",
 ]
-
-
-@dataclass
-class RobustnessResult:
-    """Accuracy/detection across varied-grid instances.
-
-    Attributes
-    ----------
-    nominal_error:
-        Evaluation relative error on the nominal grid.
-    instance_errors:
-        Relative error per varied grid instance.
-    instance_total_rates:
-        Detection TE per instance (``nan`` when an instance run shows
-        no emergencies).
-    resistance_sigma, open_fraction:
-        The variation magnitudes applied.
-    n_sensors:
-        Sensors in the (nominal-fitted) placement.
-    """
-
-    nominal_error: float
-    instance_errors: List[float]
-    instance_total_rates: List[float]
-    resistance_sigma: float
-    open_fraction: float
-    n_sensors: int
-
-    @property
-    def worst_error(self) -> float:
-        """Worst relative error across instances."""
-        return max(self.instance_errors)
-
-    @property
-    def mean_error(self) -> float:
-        """Mean relative error across instances."""
-        return float(np.mean(self.instance_errors))
 
 
 def simulate_varied_die(
@@ -100,18 +60,31 @@ def simulate_varied_die(
 
     The die perturbs the nominal grid with
     :func:`with_resistance_variation` (plus :func:`with_open_branches`
-    when ``open_fraction > 0``); the workload runs 50 warm-up steps and
-    ``n_steps`` recorded steps.  Seeds derive from ``seed_prefix`` and
-    the die index (``{prefix}rvar-{i}``, ``{prefix}open-{i}``,
-    ``{prefix}act-{i}-{benchmark}``), so each caller keeps its own
-    stream of dies.
+    when ``open_fraction > 0``).  Its load comes from the same builder
+    as the datasets', run with the generating setup's evaluation
+    :class:`~repro.experiments.config.DataConfig` — its workload
+    options and its warm-up — for ``n_steps`` recorded steps, so a
+    die's error differs from the nominal one by the die alone.  Seeds
+    derive from ``seed_prefix`` and the die index
+    (``{prefix}rvar-{i}``, ``{prefix}open-{i}``, ``{prefix}act-{i}``),
+    so each caller keeps its own stream of dies.
 
     Returns
     -------
     tuple
         ``(X, F)``: the recorded voltages at the training dataset's
         candidate and critical nodes.
+
+    Raises
+    ------
+    ValueError
+        If ``data`` carries no generating setup.
     """
+    if data.setup is None:
+        raise ValueError(
+            "simulate_varied_die needs GeneratedData.setup: a varied die "
+            "runs the generating setup's evaluation workload"
+        )
     chip = data.chip
     grid = with_resistance_variation(
         chip.grid, resistance_sigma, rng=seed_for(f"{seed_prefix}rvar-{index}")
@@ -120,89 +93,19 @@ def simulate_varied_die(
         grid = with_open_branches(
             grid, open_fraction, rng=seed_for(f"{seed_prefix}open-{index}")
         )
-    traces = generate_activity(
-        chip.floorplan,
-        get_benchmark(benchmark),
-        n_steps=n_steps + 50,
-        rng=seed_for(f"{seed_prefix}act-{index}-{benchmark}"),
+    workload = replace(
+        data.setup.eval,
+        steps_per_benchmark=n_steps,
+        seed=seed_for(f"{seed_prefix}act-{index}"),
     )
-    load = chip.mapper.bound(chip.power_model.block_power(traces))
     result = TransientSolver(grid, chip.config.timestep).simulate(
-        load, n_steps=n_steps, warmup_steps=50
+        _benchmark_load(chip, benchmark, workload),
+        n_steps=n_steps,
+        warmup_steps=workload.warmup_steps,
     )
     return (
         result.voltages[:, data.train.candidate_nodes],
         result.voltages[:, data.train.critical_nodes],
-    )
-
-
-def run_robustness_study(
-    data: GeneratedData,
-    n_instances: int = 3,
-    resistance_sigma: float = 0.1,
-    open_fraction: float = 0.02,
-    budget: float = 1.0,
-    benchmark: Optional[str] = None,
-    n_steps: int = 300,
-    model: Optional[PlacementModel] = None,
-) -> RobustnessResult:
-    """Evaluate a nominal-fitted placement on varied grid instances.
-
-    Parameters
-    ----------
-    data:
-        Generated datasets (nominal chip + training data).
-    n_instances:
-        Number of varied die instances to simulate.
-    resistance_sigma:
-        Lognormal branch-resistance spread per instance.
-    open_fraction:
-        Fraction of branches opened per instance (EM/via failures).
-    budget:
-        Lambda for the nominal fit (ignored when ``model`` given).
-    benchmark:
-        Workload run on each instance (defaults to the suite's first).
-    n_steps:
-        Recorded steps per instance run.
-    model:
-        Optional pre-fitted placement to reuse.
-    """
-    if n_instances < 1:
-        raise ValueError("n_instances must be >= 1")
-    chip = data.chip
-    if model is None:
-        model = fit_placement(data.train, PipelineConfig(budget=budget))
-    if benchmark is None:
-        benchmark = data.train.benchmark_names[0]
-    threshold = chip.config.emergency_threshold
-
-    nominal_error = mean_relative_error(
-        model.predict(data.eval.X), data.eval.F
-    )
-
-    instance_errors: List[float] = []
-    instance_te: List[float] = []
-    for inst in range(n_instances):
-        X, F = simulate_varied_die(
-            data, inst, benchmark, n_steps, resistance_sigma, open_fraction
-        )
-        instance_errors.append(mean_relative_error(model.predict(X), F))
-        truth = any_emergency(F, threshold)
-        if truth.any():
-            rates = detection_error_rates(
-                truth, model.alarm(X, threshold)
-            )
-            instance_te.append(rates.total)
-        else:
-            instance_te.append(float("nan"))
-
-    return RobustnessResult(
-        nominal_error=nominal_error,
-        instance_errors=instance_errors,
-        instance_total_rates=instance_te,
-        resistance_sigma=resistance_sigma,
-        open_fraction=open_fraction,
-        n_sensors=model.n_sensors,
     )
 
 
@@ -392,60 +295,3 @@ def run_sensor_fault_study(
         n_sensors=model.n_sensors,
     )
 
-
-def render_sensor_faults(result: SensorFaultResult) -> str:
-    """Render the sensor-fault study table."""
-    rows = []
-    for t in result.trials:
-        rows.append(
-            [
-                t.mode,
-                str(t.candidate_col),
-                t.screen or "MISSED",
-                "n/a" if np.isnan(t.detect_latency) else f"{t.detect_latency:.0f}",
-                f"{100 * t.degraded_error:.4f}",
-            ]
-        )
-    table = format_table(
-        headers=["fault", "sensor col", "screen", "latency (cyc)", "rel err %"],
-        rows=rows,
-        title=(
-            "Sensor faults — detection and leave-one-out failover "
-            f"({result.n_sensors} sensors)"
-        ),
-    )
-    return table + (
-        f"\nhealthy rel err {100 * result.baseline_error:.4f}% | "
-        f"worst degraded {100 * result.worst_degraded_error:.4f}% | "
-        f"all faults detected: {result.all_detected}"
-    )
-
-
-def render_robustness(result: RobustnessResult) -> str:
-    """Render the robustness study table."""
-    rows = []
-    for i, (err, te) in enumerate(
-        zip(result.instance_errors, result.instance_total_rates)
-    ):
-        rows.append(
-            [
-                f"instance {i}",
-                f"{100 * err:.4f}",
-                "n/a" if np.isnan(te) else f"{te:.4f}",
-            ]
-        )
-    table = format_table(
-        headers=["die", "rel err %", "detection TE"],
-        rows=rows,
-        title=(
-            "Robustness — nominal-fitted placement on varied dies "
-            f"(R sigma {result.resistance_sigma:g}, "
-            f"{100 * result.open_fraction:.0f}% opens, "
-            f"{result.n_sensors} sensors)"
-        ),
-    )
-    return table + (
-        f"\nnominal rel err {100 * result.nominal_error:.4f}% | "
-        f"varied mean {100 * result.mean_error:.4f}%, "
-        f"worst {100 * result.worst_error:.4f}%"
-    )

@@ -24,7 +24,7 @@ import time
 from typing import Dict, List, Optional
 
 import repro.obs as obs
-from repro.experiments import ablations, extensions
+from repro.experiments import ablations
 from repro.experiments.config import FAST_SETUP, PAPER_SETUP, ExperimentSetup
 from repro.experiments.data_generation import GeneratedData, generate_dataset
 from repro.experiments.fig1_beta_norms import render_fig1, run_fig1
@@ -45,7 +45,6 @@ EXPERIMENTS = (
     "table2",
     "fig4",
     "ablations",
-    "extensions",
 )
 
 
@@ -55,10 +54,7 @@ def _result_payload(name: str, obj) -> Dict:
 
 
 def run_experiment(
-    name: str,
-    data: GeneratedData,
-    out_dir: Optional[str] = None,
-    setup: Optional[ExperimentSetup] = None,
+    name: str, data: GeneratedData, out_dir: Optional[str] = None
 ) -> str:
     """Run one experiment by name; returns its rendered report.
 
@@ -70,20 +66,13 @@ def run_experiment(
         The pre-generated train/eval datasets.
     out_dir:
         Optional directory for the experiment's JSON payload.
-    setup:
-        The profile the run uses.  Only the ``extensions`` experiment
-        needs it (it regenerates its own datasets while varying the
-        chip); defaults to :data:`FAST_SETUP` when omitted.
     """
     with obs.span(f"experiment.{name}"):
-        return _run_experiment(name, data, out_dir, setup)
+        return _run_experiment(name, data, out_dir)
 
 
 def _run_experiment(
-    name: str,
-    data: GeneratedData,
-    out_dir: Optional[str],
-    setup: Optional[ExperimentSetup],
+    name: str, data: GeneratedData, out_dir: Optional[str]
 ) -> str:
     t0 = time.time()
     if name == "fig1":
@@ -159,24 +148,6 @@ def _run_experiment(
             "gl_bias": bias,
             "grouping": grouping,
         }
-    elif name == "extensions":
-        ext_setup = setup if setup is not None else FAST_SETUP
-        fa = extensions.run_fa_sensor_extension(ext_setup)
-        multi = extensions.run_multi_node_extension(
-            ext_setup, nodes_per_block=(1, 2)
-        )
-        pads = extensions.run_pad_sensitivity(
-            ext_setup,
-            inductances=(10e-12, 50e-12, 150e-12),
-        )
-        text = "\n\n".join(
-            [
-                extensions.render_fa_sensor(fa),
-                extensions.render_multi_node(multi),
-                extensions.render_pad_sensitivity(pads),
-            ]
-        )
-        payload = {"fa_sensors": fa, "multi_node": multi, "pad_sensitivity": pads}
     else:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
 
@@ -259,7 +230,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             for name in names:
                 print("\n" + "=" * 78)
-                print(run_experiment(name, data, out_dir=args.out, setup=setup))
+                print(run_experiment(name, data, out_dir=args.out))
         finally:
             if sink is not None:
                 sink.close()

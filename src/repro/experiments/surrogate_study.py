@@ -30,7 +30,13 @@ from typing import Dict, List
 import repro.obs as obs
 from repro.experiments.config import ChipConfig, DataConfig
 from repro.experiments.data_generation import build_chip
-from repro.surrogate import ScenarioSpace, SweepConfig, SweepResult, run_sweep
+from repro.surrogate import (
+    PatchConvRegressor,
+    ScenarioSpace,
+    SweepConfig,
+    SweepResult,
+    run_sweep,
+)
 
 __all__ = [
     "SurrogateStudyProfile",
@@ -136,7 +142,7 @@ def _throughput_section(
 ) -> Dict:
     return {
         "profile": profile.name,
-        "model": result.config.model,
+        "model": PatchConvRegressor.kind,
         "n_train": result.config.n_train,
         "n_pool": result.config.n_pool,
         "top_k": result.config.top_k,
@@ -165,7 +171,7 @@ def _recall_section(
     hit = result.worst_case_hit()
     return {
         "profile": profile.name,
-        "model": result.config.model,
+        "model": PatchConvRegressor.kind,
         "n_train": result.config.n_train,
         "n_pool": result.config.n_pool,
         "top_k": result.config.top_k,

@@ -62,10 +62,6 @@ class NodeClassification:
         """BA candidate node indices lying inside ``core_index``'s rect."""
         return list(self.ba_nodes_by_core.get(core_index, []))
 
-    def fa_nodes(self) -> List[int]:
-        """All node indices inside any function block."""
-        return sorted(i for nodes in self.block_nodes.values() for i in nodes)
-
     def empty_blocks(self) -> List[str]:
         """Names of blocks that contain no grid node (grid too coarse)."""
         return sorted(name for name, nodes in self.block_nodes.items() if not nodes)

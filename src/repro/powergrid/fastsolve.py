@@ -79,26 +79,19 @@ class LUKernel:
         self._pr_array = np.ascontiguousarray(lu.perm_r, dtype=np.int32)
         self._pr_ptr = cast("const int *", from_buffer(self._pr_array))
 
-    def solve(
-        self,
-        rhs: np.ndarray,
-        out: Optional[np.ndarray] = None,
-        work: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for ``(n,)`` or ``(n, B)`` right-hand sides.
 
         Column ``b`` of a batched solve is bit-identical to solving
-        that column alone (see the module docstring).  ``out`` and
-        ``work`` let hot loops reuse C-contiguous float64 buffers of
-        the right-hand side's 2-D shape.
+        that column alone (see the module docstring).
         """
         squeeze = rhs.ndim == 1
         b = np.ascontiguousarray(
             rhs.reshape(self.n, -1) if squeeze else rhs, dtype=np.float64
         )
         n_rhs = b.shape[1]
-        x = np.empty_like(b) if out is None else out
-        work = np.empty_like(b) if work is None else work
+        x = np.empty_like(b)
+        work = np.empty_like(b)
         ffi = self._ffi
         self._lib.lu_solve_many(
             self.n,
@@ -125,8 +118,8 @@ class LUKernel:
 
         ``v0`` is ``(n, B)`` and ``pad_i0`` is ``(n_pads, B)``; both are
         copied into internal buffers.  ``pad_nodes`` must be unique
-        (one injection per row), which the transient solver checks
-        before choosing the fused path.
+        (one injection per row); the transient solver rejects a grid
+        whose pads share a node.
         """
         return BEStepper(
             self, cap_over_h, pad_nodes, pad_g, pad_gl, pad_g_vdd,

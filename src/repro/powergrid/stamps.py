@@ -22,7 +22,6 @@ __all__ = [
     "stamp_capacitance",
     "pad_companion_conductance",
     "pad_resistive_conductance",
-    "pad_scatter_matrix",
 ]
 
 
@@ -76,23 +75,6 @@ def pad_companion_conductance(grid: "PowerGrid", h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError(f"timestep must be positive, got {h}")
     return np.array([1.0 / (p.resistance + p.inductance / h) for p in grid.pads])
-
-
-def pad_scatter_matrix(grid: "PowerGrid") -> sp.csr_matrix:
-    """Scatter matrix mapping per-pad values onto node vectors.
-
-    The ``(n_nodes, n_pads)`` matrix has a 1 at ``(pad.node, k)`` for
-    pad ``k``, so ``scatter @ x`` accumulates per-pad injections into a
-    node-sized vector (or, with a ``(n_pads, B)`` right-hand side, into
-    a batch of node vectors at once).  Duplicate pad nodes sum, matching
-    ``np.add.at`` semantics.
-    """
-    n_pads = len(grid.pads)
-    rows = np.array([p.node for p in grid.pads], dtype=np.int64)
-    cols = np.arange(n_pads, dtype=np.int64)
-    return sp.csr_matrix(
-        (np.ones(n_pads), (rows, cols)), shape=(grid.n_nodes, n_pads)
-    )
 
 
 def pad_resistive_conductance(grid: "PowerGrid") -> np.ndarray:

@@ -47,7 +47,6 @@ from repro.powergrid.grid import PowerGrid
 from repro.powergrid.stamps import (
     pad_companion_conductance,
     pad_resistive_conductance,
-    pad_scatter_matrix,
     stamp_capacitance,
     stamp_grid_conductance,
 )
@@ -108,7 +107,9 @@ class TransientSolver:
     Parameters
     ----------
     grid:
-        The power grid to simulate.
+        The power grid to simulate; each pad must sit on its own node
+        (both pad builders of :mod:`repro.powergrid.pads` merge
+        duplicates).
     timestep:
         Fixed integration step in seconds.  Must resolve the pad L/R
         time constants (a few times smaller than ``L/R``) for accurate
@@ -126,6 +127,11 @@ class TransientSolver:
         check_positive(timestep, "timestep")
         if not grid.pads:
             raise ValueError("transient simulation requires at least one pad")
+        self._pad_nodes = np.array([p.node for p in grid.pads], dtype=np.int64)
+        if np.unique(self._pad_nodes).shape[0] != self._pad_nodes.shape[0]:
+            raise ValueError(
+                "two pads share a grid node; merge them into one pad"
+            )
         self.grid = grid
         self.timestep = float(timestep)
 
@@ -134,7 +140,6 @@ class TransientSolver:
         capacitance = stamp_capacitance(grid)
         self._cap_over_h = grid.node_cap / self.timestep
 
-        self._pad_nodes = np.array([p.node for p in grid.pads], dtype=np.int64)
         self._pad_g = pad_companion_conductance(grid, self.timestep)
         self._pad_l_over_h = np.array(
             [p.inductance / self.timestep for p in grid.pads]
@@ -143,13 +148,6 @@ class TransientSolver:
         # integration paths; precomputing it keeps the per-step work to
         # one multiply-add without changing any floating-point result.
         self._pad_gl = self._pad_g * self._pad_l_over_h
-        # When every pad sits on its own node (the usual case) the pad
-        # injection is a direct fancy-index add; with duplicated nodes
-        # the precomputed scatter matrix accumulates like np.add.at.
-        self._pads_unique = (
-            np.unique(self._pad_nodes).shape[0] == self._pad_nodes.shape[0]
-        )
-        self._pad_scatter = None if self._pads_unique else pad_scatter_matrix(grid)
 
         pad_diag = np.zeros(n)
         np.add.at(pad_diag, self._pad_nodes, self._pad_g)
@@ -236,13 +234,6 @@ class TransientSolver:
             raise ValueError(f"record_every must be positive, got {record_every}")
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
-
-    def _inject_pads(self, rhs: np.ndarray, injection: np.ndarray) -> None:
-        """Accumulate per-pad injections into ``rhs`` (vector or batch)."""
-        if self._pads_unique:
-            rhs[self._pad_nodes] += injection
-        else:
-            rhs += self._pad_scatter @ injection
 
     def simulate(
         self,
@@ -332,7 +323,7 @@ class TransientSolver:
         for step in range(total_steps):
             rhs = self._cap_over_h * v
             rhs -= np.asarray(load_at(step), dtype=float)
-            self._inject_pads(rhs, pad_g_vdd + self._pad_gl * pad_i)
+            rhs[self._pad_nodes] += pad_g_vdd + self._pad_gl * pad_i
             v = self._solve1(rhs)
             pad_i = self._pad_g * (vdd - v[self._pad_nodes]) + self._pad_gl * pad_i
             if step == next_record:
@@ -500,16 +491,16 @@ class TransientSolver:
         pad_gl = self._pad_gl[:, np.newaxis]
         kernel = self._kernel
 
-        # With the compiled kernel and one pad per node, the whole step
-        # (rhs build + pad injection + solve + pad update) runs as one
-        # fused C call; its expressions mirror the numpy ops below one
-        # for one, so both loops are bit-identical.
+        # With the compiled kernel the whole step (rhs build + pad
+        # injection + solve + pad update) runs as one fused C call; its
+        # expressions mirror the numpy ops below one for one, so both
+        # loops are bit-identical.
         stepper = (
             kernel.make_stepper(
                 self._cap_over_h, self._pad_nodes, self._pad_g,
                 self._pad_gl, self._pad_g * vdd, vdd, v, pad_i,
             )
-            if kernel is not None and self._pads_unique
+            if kernel is not None
             else None
         )
 
@@ -520,8 +511,6 @@ class TransientSolver:
             rhs = np.empty((n, n_b))
             inj = np.empty((n_pads, n_b))
             vp = np.empty((n_pads, n_b))
-            x_buf = np.empty((n, n_b))
-            work = np.empty((n, n_b))
         rec_t = np.empty((n_b, n_recorded), dtype=dtype)
 
         record_slot = 0
@@ -571,11 +560,8 @@ class TransientSolver:
                     rhs -= chunk[step - lo]
                 np.multiply(pad_gl, pad_i, out=inj)
                 np.add(pad_g_vdd, inj, out=inj)
-                self._inject_pads(rhs, inj)
-                if kernel is not None:
-                    v = kernel.solve(rhs, out=x_buf, work=work)
-                else:
-                    v = self._lu.solve(rhs)
+                rhs[self._pad_nodes] += inj
+                v = self._lu.solve(rhs)
                 np.take(v, self._pad_nodes, axis=0, out=vp)
                 np.subtract(vdd, vp, out=vp)
                 np.multiply(pad_g, vp, out=vp)

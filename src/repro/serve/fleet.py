@@ -76,17 +76,6 @@ class ServeResult:
     model_version: int
     latencies_ns: List[int]
 
-    def latency_percentiles_ms(self) -> Dict[str, float]:
-        """p50/p99/max end-to-end slot latency in milliseconds."""
-        if not self.latencies_ns:
-            return {"p50_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-        lat = np.asarray(self.latencies_ns, dtype=np.float64) / 1e6
-        return {
-            "p50_ms": float(np.percentile(lat, 50)),
-            "p99_ms": float(np.percentile(lat, 99)),
-            "max_ms": float(lat.max()),
-        }
-
 
 @dataclass
 class _Shard:

@@ -6,8 +6,8 @@ The package that makes "sweep thousands of scenarios" affordable:
   the batched exact evaluator used for training and verification,
 * :mod:`repro.surrogate.features` — pooled current-map, floorplan and
   pad-distance features (no transient solve required),
-* :mod:`repro.surrogate.model` — pure-numpy kernel-ridge and
-  patch-convolution regressors,
+* :mod:`repro.surrogate.model` — the pure-numpy patch-convolution
+  regressor,
 * :mod:`repro.surrogate.calibrate` — split-conformal per-block error
   bounds plus the conservative guard bound,
 * :mod:`repro.surrogate.sweep` — the train → screen → verify harness.
@@ -21,12 +21,7 @@ from repro.surrogate.calibrate import (
     empirical_coverage,
 )
 from repro.surrogate.features import POOL_RADII, FeatureExtractor
-from repro.surrogate.model import (
-    MODEL_KINDS,
-    KernelRidgeRegressor,
-    PatchConvRegressor,
-    make_model,
-)
+from repro.surrogate.model import PatchConvRegressor
 from repro.surrogate.scenarios import (
     GridVariant,
     Scenario,
@@ -49,10 +44,7 @@ __all__ = [
     "empirical_coverage",
     "FeatureExtractor",
     "POOL_RADII",
-    "KernelRidgeRegressor",
     "PatchConvRegressor",
-    "make_model",
-    "MODEL_KINDS",
     "GridVariant",
     "Scenario",
     "ScenarioSpace",

@@ -25,7 +25,6 @@ invariant to scenario ordering (property-tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,16 +75,6 @@ def _moving_mean_max(power: np.ndarray, window: int) -> np.ndarray:
     csum = np.cumsum(power, axis=0)
     sums = csum[window:] - csum[:-window]
     return np.maximum(csum[window - 1], sums.max(axis=0)) / window
-
-
-@dataclass(frozen=True)
-class FeatureNames:
-    """Stable column labels of the feature matrix (for reports/docs)."""
-
-    names: Tuple[str, ...]
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 class FeatureExtractor:
@@ -198,7 +187,8 @@ class FeatureExtractor:
         self._names = self._build_names()
 
     # ------------------------------------------------------------------
-    def _build_names(self) -> FeatureNames:
+    def _build_names(self) -> Tuple[str, ...]:
+        """Stable column labels of the feature matrix."""
         names: List[str] = []
         for ch in _CHANNELS:
             names.append(f"cur.{ch}")
@@ -225,15 +215,11 @@ class FeatureExtractor:
             names.append(f"var.is_{v.name}")
         for v in self.variants:
             names.append(f"var.{v.name}_x_window")
-        return FeatureNames(tuple(names))
-
-    @property
-    def feature_names(self) -> FeatureNames:
-        return self._names
+        return tuple(names)
 
     @property
     def n_features(self) -> int:
-        return len(self._names.names)
+        return len(self._names)
 
     # ------------------------------------------------------------------
     def _channels(self, current: np.ndarray) -> np.ndarray:

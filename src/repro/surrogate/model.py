@@ -1,57 +1,27 @@
-"""Pure-numpy droop regressors: kernel ridge and patch-convolution.
+"""Pure-numpy droop regressor: a ridge readout over patch-pooled features.
 
-Two model families, one ``fit(X, y)`` / ``predict(X)`` contract:
+:class:`PatchConvRegressor` fits closed-form ridge regression over the
+feature matrix.  Its "convolution" lives in the feature extractor's
+fixed Gaussian patch-pooling (each dynamic channel arrives at three
+spatial scales); the model learns only the linear readout, exactly
+like a one-layer CNN with frozen kernels.  Fast, and hard to overfit
+on small training sweeps.
 
-* :class:`PatchConvRegressor` — closed-form ridge regression over the
-  feature matrix.  Its "convolution" lives in the feature extractor's
-  fixed Gaussian patch-pooling (each dynamic channel arrives at three
-  spatial scales); the model learns only the linear readout, exactly
-  like a one-layer CNN with frozen kernels.  Fast, and hard to
-  overfit on small training sweeps.
-* :class:`KernelRidgeRegressor` — RBF kernel ridge with the median
-  heuristic for the bandwidth.  Captures the nonlinear interaction
-  between local current, pad distance and package corner that the
-  linear readout cannot.
-
-Both standardize features internally (the extractor mixes amperes,
-millimetres and unitless knobs), are deterministic given their inputs,
-and train in one dense linear solve — no iterative optimizer, no
+It standardizes features internally (the extractor mixes amperes,
+millimetres and unitless knobs), is deterministic given its inputs,
+and trains in one dense linear solve — no iterative optimizer, no
 framework dependency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.obs import span
 
-__all__ = [
-    "PatchConvRegressor",
-    "KernelRidgeRegressor",
-    "make_model",
-    "MODEL_KINDS",
-]
-
-#: Registered model kinds for :func:`make_model`.
-MODEL_KINDS = ("patchconv", "kernel")
-
-
-class _Standardizer:
-    """Column centering/scaling shared by both regressors."""
-
-    def fit(self, X: np.ndarray) -> "_Standardizer":
-        self.mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        # Constant columns (e.g. a single-variant sweep) carry no
-        # information; a unit scale keeps them harmlessly at zero.
-        scale[scale == 0.0] = 1.0
-        self.scale = scale
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.mean) / self.scale
+__all__ = ["PatchConvRegressor"]
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray) -> None:
@@ -83,8 +53,13 @@ class PatchConvRegressor:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "PatchConvRegressor":
         _check_xy(X, y)
         with span("surrogate.fit", model=self.kind, n_rows=X.shape[0]):
-            self._scaler = _Standardizer().fit(X)
-            Z = self._scaler.transform(X)
+            self._mean = X.mean(axis=0)
+            scale = X.std(axis=0)
+            # Constant columns (e.g. a single-variant sweep) carry no
+            # information; a unit scale keeps them harmlessly at zero.
+            scale[scale == 0.0] = 1.0
+            self._scale = scale
+            Z = (X - self._mean) / scale
             self._y_mean = float(y.mean())
             yc = y - self._y_mean
             gram = Z.T @ Z
@@ -95,92 +70,4 @@ class PatchConvRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._coef is None:
             raise RuntimeError("fit() must be called before predict()")
-        return self._scaler.transform(X) @ self._coef + self._y_mean
-
-
-class KernelRidgeRegressor:
-    """RBF kernel ridge regression with median-heuristic bandwidth.
-
-    Parameters
-    ----------
-    alpha:
-        Ridge regularization added to the kernel diagonal.
-    gamma:
-        RBF width ``exp(-gamma * ||x - x'||^2)``; ``None`` sets
-        ``gamma = 1 / (2 * median^2)`` from the pairwise distances of
-        the (standardized) training rows — deterministic, and scale-
-        free because of the standardization.
-    max_train_rows:
-        Safety bound on the kernel matrix size (rows).  Training sweeps
-        are a few thousand (scenario, block) rows; refusing absurd
-        sizes beats silently allocating an O(n^2) kernel.
-    """
-
-    kind = "kernel"
-
-    def __init__(
-        self,
-        alpha: float = 1e-6,
-        gamma: Optional[float] = None,
-        max_train_rows: int = 20000,
-    ) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        if gamma is not None and gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        self.alpha = float(alpha)
-        self.gamma = gamma
-        self.max_train_rows = int(max_train_rows)
-        self._dual: Optional[np.ndarray] = None
-
-    def _sq_dists(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        aa = (A * A).sum(axis=1)[:, None]
-        bb = (B * B).sum(axis=1)[None, :]
-        return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KernelRidgeRegressor":
-        _check_xy(X, y)
-        if X.shape[0] > self.max_train_rows:
-            raise ValueError(
-                f"{X.shape[0]} training rows exceed max_train_rows="
-                f"{self.max_train_rows}; subsample the training sweep or "
-                "use the patchconv model"
-            )
-        with span("surrogate.fit", model=self.kind, n_rows=X.shape[0]):
-            self._scaler = _Standardizer().fit(X)
-            Z = self._scaler.transform(X)
-            d2 = self._sq_dists(Z, Z)
-            if self.gamma is None:
-                # Median of the strictly-upper-triangle distances: the
-                # standard deterministic bandwidth heuristic.
-                iu = np.triu_indices(Z.shape[0], k=1)
-                med2 = float(np.median(d2[iu])) if iu[0].size else 1.0
-                self._gamma = 1.0 / (2.0 * med2) if med2 > 0 else 1.0
-            else:
-                self._gamma = float(self.gamma)
-            K = np.exp(-self._gamma * d2)
-            K[np.diag_indices_from(K)] += self.alpha * Z.shape[0]
-            self._y_mean = float(y.mean())
-            self._train = Z
-            self._dual = np.linalg.solve(K, y - self._y_mean)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._dual is None:
-            raise RuntimeError("fit() must be called before predict()")
-        Z = self._scaler.transform(X)
-        K = np.exp(-self._gamma * self._sq_dists(Z, self._train))
-        return K @ self._dual + self._y_mean
-
-
-def make_model(kind: str, **kwargs) -> "PatchConvRegressor | KernelRidgeRegressor":
-    """Instantiate a registered regressor by kind name."""
-    factories: Dict[str, type] = {
-        "patchconv": PatchConvRegressor,
-        "kernel": KernelRidgeRegressor,
-    }
-    if kind not in factories:
-        raise ValueError(
-            f"unknown surrogate model {kind!r}; known: {', '.join(MODEL_KINDS)}"
-        )
-    return factories[kind](**kwargs)
+        return ((X - self._mean) / self._scale) @ self._coef + self._y_mean

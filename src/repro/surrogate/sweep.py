@@ -43,7 +43,7 @@ from repro.surrogate.calibrate import (
     empirical_coverage,
 )
 from repro.surrogate.features import FeatureExtractor
-from repro.surrogate.model import MODEL_KINDS, make_model
+from repro.surrogate.model import PatchConvRegressor
 from repro.surrogate.scenarios import (
     Scenario,
     ScenarioSpace,
@@ -75,8 +75,6 @@ class SweepConfig:
     guard_margin:
         Safety factor of the guard bound (see
         :mod:`repro.surrogate.calibrate`).
-    model:
-        ``"kernel"`` or ``"patchconv"``.
     seed:
         Master seed; train/pool samples derive from it.
     exact_pool:
@@ -96,7 +94,6 @@ class SweepConfig:
     top_k: int = 10
     alpha: float = 0.1
     guard_margin: float = 1.25
-    model: str = "patchconv"
     seed: int = 0
     exact_pool: bool = False
     screen_chunk: int = 64
@@ -111,10 +108,6 @@ class SweepConfig:
             raise ValueError("n_pool must be >= 1")
         if not 1 <= self.top_k <= self.n_pool:
             raise ValueError("top_k must be in [1, n_pool]")
-        if self.model not in MODEL_KINDS:
-            raise ValueError(
-                f"unknown model {self.model!r}; known: {', '.join(MODEL_KINDS)}"
-            )
         if self.screen_chunk < 1:
             raise ValueError("screen_chunk must be >= 1")
 
@@ -211,7 +204,7 @@ class SweepResult:
     def report(self) -> Dict:
         """JSON-ready summary (feeds the ``surrogate`` bench mode)."""
         doc: Dict = {
-            "model": self.config.model,
+            "model": PatchConvRegressor.kind,
             "seed": self.config.seed,
             "n_blocks": self.n_blocks,
             "train": {
@@ -323,7 +316,7 @@ def run_sweep(
             fit_rows = slice(0, n_fit * n_blocks)
             cal_rows = slice(n_fit * n_blocks, None)
 
-            model = make_model(config.model)
+            model = PatchConvRegressor()
             model.fit(X[fit_rows], y[fit_rows])
             fit_pred = model.predict(X[fit_rows])
             fit_error_rms = float(

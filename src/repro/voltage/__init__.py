@@ -5,7 +5,7 @@ from repro.voltage.correlation import (
     correlation_length,
     spatial_correlation,
 )
-from repro.voltage.critical import select_critical_nodes, select_representative_nodes
+from repro.voltage.critical import select_critical_nodes
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.emergencies import (
     any_emergency,
@@ -28,7 +28,6 @@ __all__ = [
     "correlation_length",
     "spatial_correlation",
     "select_critical_nodes",
-    "select_representative_nodes",
     "VoltageDataset",
     "any_emergency",
     "emergency_matrix",

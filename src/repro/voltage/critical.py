@@ -2,20 +2,18 @@
 
 The paper monitors, for each function block, "one noise critical node
 ... which has the worst noise during a sampling simulation period".
-This module picks that node per block from simulated voltage maps, and
-supports the paper's Section 2.1 extension of multiple representative
-nodes per block.
+This module picks that node per block from simulated voltage maps.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from repro.floorplan.candidates import NodeClassification
 
-__all__ = ["select_critical_nodes", "select_representative_nodes"]
+__all__ = ["select_critical_nodes"]
 
 
 def select_critical_nodes(
@@ -64,45 +62,3 @@ def select_critical_nodes(
         critical[name] = int(nodes_arr[np.argmin(worst[nodes_arr])])
     return critical
 
-
-def select_representative_nodes(
-    voltages: np.ndarray,
-    classification: NodeClassification,
-    nodes_per_block: int = 1,
-) -> Dict[str, List[int]]:
-    """Pick the ``nodes_per_block`` worst-noise nodes of each block.
-
-    Implements the paper's remark that "it is easy for our model to
-    handle the case with more representative nodes per block": the
-    prediction target simply gains extra rows.
-
-    Parameters
-    ----------
-    voltages, classification:
-        As in :func:`select_critical_nodes`.
-    nodes_per_block:
-        How many representative nodes to keep per block (clipped to the
-        number of nodes the block actually contains).
-
-    Returns
-    -------
-    dict
-        ``block name -> list of grid node indices`` ordered from worst
-        noise to least.
-    """
-    if nodes_per_block < 1:
-        raise ValueError(f"nodes_per_block must be >= 1, got {nodes_per_block}")
-    voltages = np.asarray(voltages)
-    if voltages.ndim != 2 or voltages.shape[1] != classification.n_nodes:
-        raise ValueError("voltages shape does not match the classification")
-
-    worst = voltages.min(axis=0)
-    representatives: Dict[str, List[int]] = {}
-    for name, nodes in classification.block_nodes.items():
-        if not nodes:
-            raise ValueError(f"block {name} has no grid nodes")
-        nodes_arr = np.asarray(nodes, dtype=np.int64)
-        order = np.argsort(worst[nodes_arr])
-        keep = min(nodes_per_block, nodes_arr.shape[0])
-        representatives[name] = [int(n) for n in nodes_arr[order[:keep]]]
-    return representatives

@@ -203,7 +203,12 @@ def build_surrogate_golden() -> dict:
     """
     from repro.experiments.config import ChipConfig, DataConfig
     from repro.experiments.data_generation import build_chip
-    from repro.surrogate import ScenarioSpace, SweepConfig, run_sweep
+    from repro.surrogate import (
+        PatchConvRegressor,
+        ScenarioSpace,
+        SweepConfig,
+        run_sweep,
+    )
 
     chip = build_chip(ChipConfig(**SURROGATE_CHIP))
     data = DataConfig(**SURROGATE_DATA)
@@ -218,7 +223,7 @@ def build_surrogate_golden() -> dict:
                 for k, v in SURROGATE_DATA.items()
             },
             "sweep": dict(SURROGATE_SWEEP),
-            "model": result.config.model,
+            "model": PatchConvRegressor.kind,
             "alpha": result.config.alpha,
             "guard_margin": result.config.guard_margin,
         },

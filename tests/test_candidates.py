@@ -29,7 +29,7 @@ class TestClassifyNodes:
         fp = tiny_plan()
         coords = [[x * 0.25, y * 0.25] for x in range(17) for y in range(9)]
         cls = classify_nodes(fp, coords)
-        fa = set(cls.fa_nodes())
+        fa = {i for nodes in cls.block_nodes.values() for i in nodes}
         ba = set(cls.ba_nodes)
         assert fa.isdisjoint(ba)
         assert fa | ba == set(range(len(coords)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.floorplan.candidates import NodeClassification
-from repro.voltage.critical import select_critical_nodes, select_representative_nodes
+from repro.voltage.critical import select_critical_nodes
 
 
 def make_classification():
@@ -41,29 +41,3 @@ class TestSelectCriticalNodes:
         with pytest.raises(ValueError, match="without grid nodes"):
             select_critical_nodes(np.ones((2, 4)), cls)
 
-
-class TestRepresentativeNodes:
-    def test_single_representative_matches_critical(self):
-        cls = make_classification()
-        voltages = np.array([[0.95, 0.90, 0.92, 0.99]])
-        reps = select_representative_nodes(voltages, cls, nodes_per_block=1)
-        critical = select_critical_nodes(voltages, cls)
-        assert {k: v[0] for k, v in reps.items()} == critical
-
-    def test_multiple_representatives_ordered(self):
-        cls = make_classification()
-        voltages = np.array([[0.95, 0.90, 0.92, 0.99]])
-        reps = select_representative_nodes(voltages, cls, nodes_per_block=2)
-        assert reps["A"] == [1, 0]  # worst first
-
-    def test_clipped_to_block_size(self):
-        cls = make_classification()
-        voltages = np.array([[0.95, 0.90, 0.92, 0.99]])
-        reps = select_representative_nodes(voltages, cls, nodes_per_block=5)
-        assert len(reps["B"]) == 1
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            select_representative_nodes(
-                np.ones((1, 4)), make_classification(), nodes_per_block=0
-            )

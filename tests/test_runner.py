@@ -38,7 +38,6 @@ class TestRunExperiment:
             "table2",
             "fig4",
             "ablations",
-            "extensions",
         }
 
 
@@ -59,13 +58,6 @@ class TestMoreExperimentBranches:
         assert "Fig. 4" in text
         payload = json.load(open(tmp_path / "fig4.json"))
         assert len(payload["result"]["sensors_per_core"]) >= 2
-
-    def test_no_module_global_setup_handoff(self):
-        # The extensions profile is passed explicitly; the old mutable
-        # module global must be gone.
-        import repro.experiments.runner as runner_mod
-
-        assert not hasattr(runner_mod, "_SETUP_FOR_EXTENSIONS")
 
 
 class TestTracing:

@@ -19,12 +19,12 @@ import pytest
 from repro.obs.benchjson import MODES, stamp_bench, validate_bench
 from repro.surrogate import (
     GridVariant,
+    PatchConvRegressor,
     ScenarioSpace,
     SweepConfig,
     conformal_calibrate,
     default_variants,
     empirical_coverage,
-    make_model,
 )
 from repro.surrogate.calibrate import (
     MIN_BLOCK_CALIBRATION,
@@ -152,13 +152,12 @@ class TestConformalCalibrate:
 
 # ------------------------------------------------------------------- models
 class TestModels:
-    @pytest.mark.parametrize("kind", ["patchconv", "kernel"])
-    def test_fit_predict_deterministic(self, kind):
+    def test_fit_predict_deterministic(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 8))
         y = rng.normal(size=60)
-        p1 = make_model(kind).fit(X, y).predict(X)
-        p2 = make_model(kind).fit(X.copy(), y.copy()).predict(X.copy())
+        p1 = PatchConvRegressor().fit(X, y).predict(X)
+        p2 = PatchConvRegressor().fit(X.copy(), y.copy()).predict(X.copy())
         np.testing.assert_array_equal(p1, p2)
 
     def test_patchconv_recovers_linear_signal(self):
@@ -166,44 +165,24 @@ class TestModels:
         X = rng.normal(size=(200, 5))
         w = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         y = X @ w + 0.1
-        pred = make_model("patchconv", alpha=1e-8).fit(X, y).predict(X)
+        pred = PatchConvRegressor(alpha=1e-8).fit(X, y).predict(X)
         assert np.sqrt(np.mean((pred - y) ** 2)) < 1e-4
 
-    def test_kernel_fits_nonlinear_signal(self):
-        rng = np.random.default_rng(11)
-        X = rng.uniform(-1, 1, size=(150, 2))
-        y = np.sin(3 * X[:, 0]) * X[:, 1]
-        pred = make_model("kernel").fit(X, y).predict(X)
-        assert np.sqrt(np.mean((pred - y) ** 2)) < 0.05
-
-    @pytest.mark.parametrize("kind", ["patchconv", "kernel"])
-    def test_predict_before_fit_raises(self, kind):
+    def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="fit"):
-            make_model(kind).predict(np.ones((2, 3)))
+            PatchConvRegressor().predict(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("kind", ["patchconv", "kernel"])
-    def test_rejects_bad_shapes(self, kind):
+    def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="2-D"):
-            make_model(kind).fit(np.ones(5), np.ones(5))
+            PatchConvRegressor().fit(np.ones(5), np.ones(5))
         with pytest.raises(ValueError):
-            make_model(kind).fit(np.ones((5, 2)), np.ones(4))
+            PatchConvRegressor().fit(np.ones((5, 2)), np.ones(4))
         with pytest.raises(ValueError, match="empty"):
-            make_model(kind).fit(np.ones((0, 2)), np.ones(0))
+            PatchConvRegressor().fit(np.ones((0, 2)), np.ones(0))
 
     def test_rejects_bad_hyperparameters(self):
         with pytest.raises(ValueError, match="alpha"):
-            make_model("patchconv", alpha=0.0)
-        with pytest.raises(ValueError, match="gamma"):
-            make_model("kernel", gamma=-1.0)
-
-    def test_kernel_refuses_oversize_training_set(self):
-        model = make_model("kernel", max_train_rows=10)
-        with pytest.raises(ValueError, match="max_train_rows"):
-            model.fit(np.ones((11, 2)), np.ones(11))
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown surrogate model"):
-            make_model("transformer")
+            PatchConvRegressor(alpha=0.0)
 
 
 # ---------------------------------------------------------------- scenarios
@@ -257,7 +236,7 @@ class TestScenarios:
 # ------------------------------------------------------------- sweep config
 class TestSweepConfig:
     def test_defaults_valid(self):
-        assert SweepConfig().model == "patchconv"
+        assert SweepConfig().top_k <= SweepConfig().n_pool
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -267,7 +246,6 @@ class TestSweepConfig:
             (dict(n_pool=0), "n_pool"),
             (dict(top_k=0), "top_k"),
             (dict(n_pool=10, top_k=11), "top_k"),
-            (dict(model="mlp"), "unknown model"),
             (dict(screen_chunk=0), "screen_chunk"),
         ],
     )

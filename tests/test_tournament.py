@@ -12,19 +12,23 @@ placer lands in ``problems``, not an exception), and the committed
 ``results/leaderboard.json`` artifact's required coverage.
 """
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.experiments.robustness import FAULT_MODES
+import repro.experiments.data_generation as datagen
+import repro.experiments.robustness as robustness
+from repro.experiments.robustness import FAULT_MODES, simulate_varied_die
 from repro.experiments.tournament import (
     TournamentConfig,
     render_leaderboard_markdown,
     run_tournament,
 )
 from repro.obs.benchjson import normalize_bench, validate_bench
+from tests.conftest import TINY_SETUP
 from tests.golden.regenerate import (
     TOURNAMENT_GOLDEN_PATH,
     build_tournament_golden,
@@ -198,3 +202,43 @@ def test_each_placer_places_once(tiny_data):
     }
     assert placements == {name: 1 for name in config.placers}
     assert not [name for name in counters if name.startswith("tournament.")]
+
+
+def test_varied_die_runs_the_evaluation_workload(tiny_data, monkeypatch):
+    # A die's error must differ from the nominal one by the die alone:
+    # its activity draws with the evaluation DataConfig's workload
+    # options and warms up for its warm-up steps.
+    calls = []
+    real = datagen.generate_activity
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    # Both module globals: a die drawing its activity outside the
+    # datasets' builder is recorded too, and then fails the check.
+    monkeypatch.setattr(datagen, "generate_activity", recording)
+    monkeypatch.setattr(robustness, "generate_activity", recording, raising=False)
+    n_steps = 20
+    X, F = simulate_varied_die(tiny_data, 0, "x264", n_steps, 0.1, 0.02)
+    assert X.shape == (n_steps, tiny_data.train.n_candidates)
+    assert F.shape == (n_steps, tiny_data.train.n_blocks)
+    assert len(calls) == 1
+    workload = TINY_SETUP.eval
+    assert calls[0]["n_steps"] == workload.warmup_steps + n_steps
+    for name in (
+        "ramp_steps",
+        "block_jitter",
+        "core_coupling",
+        "gating_scope",
+        "phase_concentration",
+        "burst_boost",
+    ):
+        assert calls[0].get(name) == getattr(workload, name), name
+
+
+def test_varied_die_needs_the_generating_setup(tiny_data):
+    with pytest.raises(ValueError, match="setup"):
+        simulate_varied_die(
+            dataclasses.replace(tiny_data, setup=None), 0, "x264", 10, 0.1, 0.0
+        )

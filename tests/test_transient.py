@@ -36,6 +36,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TransientSolver(rc_grid(), 0.0)
 
+    def test_rejects_two_pads_on_one_node(self):
+        grid = rc_grid()
+        grid.pads = [
+            Pad(node=0, resistance=0.1, inductance=0.0),
+            Pad(node=0, resistance=0.2, inductance=0.0),
+        ]
+        with pytest.raises(ValueError, match="share a grid node"):
+            TransientSolver(grid, 1e-10)
+
 
 class TestSteadyState:
     def test_holds_dc_operating_point(self):
