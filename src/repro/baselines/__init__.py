@@ -34,7 +34,6 @@ from repro.baselines.placer import (
     Placement,
     PlacementConstraints,
     Placer,
-    ScopeContext,
     available_placers,
     get_placer,
     register_placer,
@@ -54,7 +53,6 @@ __all__ = [
     "Placer",
     "Placement",
     "PlacementConstraints",
-    "ScopeContext",
     "register_placer",
     "get_placer",
     "available_placers",

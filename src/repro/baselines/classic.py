@@ -1,7 +1,7 @@
 """The six classic baselines as :class:`Placer` implementations.
 
 Each class wraps the corresponding module's ranking kernel; the shared
-base handles scope iteration, budgets, spacing, and tie-break policy.
+base handles core iteration, budgets and tie-break policy.
 Their selections on a fixed synthetic dataset are pinned in
 ``tests/test_placers.py``.
 """
@@ -37,28 +37,23 @@ class WorstNoisePlacer(Placer):
 
     name = "worst_noise"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return worst_noise_ranking(X)[:n_rank]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return worst_noise_ranking(X)
 
 
 @register_placer
 class RandomPlacer(Placer):
     """Uniform random placement — the null baseline.
 
-    Without spacing each scope takes one :func:`random_selection` draw
-    from the generator threaded through the scopes; under spacing it
-    draws a full random permutation per scope so rejected candidates
-    refill randomly.
+    Each core takes one :func:`random_selection` draw from the
+    generator threaded through the cores.
     """
 
     name = "random"
     uses_rng = True
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        pool = X.shape[1]
-        if ctx.spacing_active:
-            return rng.permutation(pool).astype(np.int64)
-        return random_selection(pool, budget, rng)
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return random_selection(X.shape[1], budget, rng)
 
 
 @register_placer
@@ -67,8 +62,8 @@ class OLSMagnitudePlacer(Placer):
 
     name = "ols_magnitude"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return ols_magnitude_ranking(X, F)[:n_rank]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return ols_magnitude_ranking(X, F)
 
 
 @register_placer
@@ -77,15 +72,15 @@ class CorrelationGreedyPlacer(Placer):
 
     name = "correlation"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return greedy_correlation_order(X, F, min(n_rank, X.shape[1]))
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return greedy_correlation_order(X, F, budget)
 
 
 @register_placer
 class EagleEyePlacer(Placer):
     """Eagle-Eye greedy max-coverage placement (the paper's comparator).
 
-    Needs ``PlacementConstraints.emergency_threshold``: the scope's
+    Needs ``PlacementConstraints.emergency_threshold``: the core's
     emergencies are the training samples with any block below it.
     Build the runtime detector from the placement with
     ``EagleEyeModel(placement.selected_cols, threshold)``.
@@ -93,17 +88,15 @@ class EagleEyePlacer(Placer):
 
     name = "eagle_eye"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        threshold = ctx.constraints.emergency_threshold
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        threshold = constraints.emergency_threshold
         if threshold is None:
             raise ValueError(
                 "eagle_eye needs an emergency threshold: set "
                 "PlacementConstraints(emergency_threshold=...)"
             )
         emergency = np.any(F < threshold, axis=1)
-        return greedy_coverage_order(
-            X, emergency, min(n_rank, X.shape[1]), threshold
-        )
+        return greedy_coverage_order(X, emergency, budget, threshold)
 
 
 @register_placer
@@ -116,5 +109,5 @@ class PlainLassoPlacer(Placer):
 
     name = "plain_lasso"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return lasso_magnitude_ranking(X, F, PLAIN_LASSO_MU)[:n_rank]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return lasso_magnitude_ranking(X, F, PLAIN_LASSO_MU)

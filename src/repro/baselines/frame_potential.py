@@ -81,5 +81,5 @@ class FramePotentialPlacer(Placer):
 
     name = "frame_potential"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return frame_potential_ranking(X)[:n_rank]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return frame_potential_ranking(X)

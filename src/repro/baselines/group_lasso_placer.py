@@ -1,15 +1,15 @@
 """The paper's group-lasso placement as a :class:`Placer`.
 
-Per scope, bisect the monotone lambda -> sensor-count mapping (the
+Per core, bisect the monotone lambda -> sensor-count mapping (the
 :func:`~repro.core.lambda_sweep.fit_for_sensor_count` bracketing
 pattern) for the smallest lambda selecting at least ``budget``
 sensors, then rank candidates by descending ``||beta_m||_2``.  The
 top-``budget`` prefix is the placement, so the budget is met exactly
 even when the count mapping jumps past it.
 
-All probes within a scope share one Gram
+Each core is standardized once and all its probes share one Gram
 (:func:`~repro.core.selection.prepare_stats`) and warm-start each
-other.  Per-scope diagnostics (final lambda, above-threshold count,
+other.  Per-core diagnostics (final lambda, above-threshold count,
 probe count) land in ``Placement.meta["scopes"]``.
 """
 
@@ -20,7 +20,13 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.placer import Placer, register_placer
-from repro.core.selection import SelectionResult, prepare_stats, select_sensors
+from repro.core.group_lasso import group_lasso_constrained
+from repro.core.selection import (
+    DEFAULT_THRESHOLD,
+    SelectionResult,
+    prepare_stats,
+    threshold_selection,
+)
 
 __all__ = ["GroupLassoPlacer"]
 
@@ -28,7 +34,7 @@ __all__ = ["GroupLassoPlacer"]
 #: first ceiling (grown x2.5 up to 12 times until it reaches the budget).
 LAMBDA_LO = 1e-3
 LAMBDA_HI = 1.0
-#: Bisection probes that selected something, per scope.
+#: Bisection probes that selected something, per core.
 MAX_PROBES = 14
 
 
@@ -38,25 +44,27 @@ class GroupLassoPlacer(Placer):
 
     name = "group_lasso"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        stats = prepare_stats(X, F)[2]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        z, g, stats = prepare_stats(X, F)
 
         def solve(lam: float, warm) -> Optional[SelectionResult]:
             # Budgets too small to select anything raise ValueError;
             # report them as None so bracketing/bisection can react.
             try:
-                return select_sensors(X, F, budget=lam, stats=stats, warm=warm)
+                gl = group_lasso_constrained(
+                    z, g, budget=lam, stats=stats, warm=warm
+                )
+                return threshold_selection(gl, lam, DEFAULT_THRESHOLD)
             except ValueError:
                 return None
 
         result, probes = _bisect_count(solve, budget)
-        ctx.meta["lambda"] = float(result.budget)
-        ctx.meta["n_above_threshold"] = int(result.n_selected)
-        ctx.meta["probes"] = int(probes)
-        # Descending-norm ranking; zero-norm tail candidates break ties
-        # by ascending index (stable sort) so spacing refill stays
-        # deterministic.
-        return np.argsort(-result.group_norms, kind="stable")[:n_rank]
+        meta["lambda"] = float(result.budget)
+        meta["n_above_threshold"] = int(result.n_selected)
+        meta["probes"] = int(probes)
+        # Descending-norm ranking; norm ties (e.g. zero-norm
+        # candidates) break by ascending index (stable sort).
+        return np.argsort(-result.group_norms, kind="stable")
 
 
 def _bisect_count(solve, budget: int):

@@ -7,8 +7,8 @@ orthogonalization against the already-picked columns — the QR-DEIM
 oversampling strategy of Manohar et al. (IEEE CSM 2018) and PySensors
 2.0 (arXiv 2509.08017), applied to the snapshot columns directly.
 The pivot sequence is computed once and is nested: its first q pivots
-are the rank-q choice, which is exactly the prefix property the
-:class:`~repro.baselines.placer.Placer` base needs for spacing refill.
+are the rank-q choice, so the :class:`~repro.baselines.placer.Placer`
+base takes the budget-q placement from the front of the ranking.
 """
 
 from __future__ import annotations
@@ -51,5 +51,5 @@ class QRPivotPlacer(Placer):
 
     name = "qr_pivot"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        return qr_pivot_ranking(X)[:n_rank]
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        return qr_pivot_ranking(X)

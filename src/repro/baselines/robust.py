@@ -17,7 +17,7 @@ All subset refits solve the cached centered normal equations
 runtime failover uses, so the bound the placer reports is the bound
 the fleet experiences.
 
-Per-scope diagnostics land in ``Placement.meta["scopes"][core]``:
+Per-core diagnostics land in ``Placement.meta["scopes"][core]``:
 
 * ``worst_case_rss`` — the objective value of the chosen set;
 * ``worst_case_train_error`` — the max mean relative training error
@@ -26,11 +26,8 @@ Per-scope diagnostics land in ``Placement.meta["scopes"][core]``:
   :class:`~repro.core.pipeline.PlacementModel`);
 * ``nominal_train_error`` — the healthy-model training error.
 
-The greedy pick order is nested, so the ranking prefix property the
-:class:`~repro.baselines.placer.Placer` base requires holds for the
-first ``budget`` entries; under spacing, rejected candidates refill
-from a marginal-relevance ranking of the remaining pool (documented:
-the robustness guarantee applies to the spacing-free greedy set).
+The placer ranks exactly the ``budget`` greedy picks, in pick order;
+the :class:`~repro.baselines.placer.Placer` base places all of them.
 """
 
 from __future__ import annotations
@@ -65,7 +62,6 @@ def robust_greedy_order(
     X: np.ndarray,
     F: np.ndarray,
     budget: int,
-    n_rank: Optional[int] = None,
 ) -> Tuple[np.ndarray, Dict[str, float]]:
     """Greedy failure-robust pick order plus its worst-case diagnostics.
 
@@ -76,19 +72,14 @@ def robust_greedy_order(
     F:
         ``(N, K)`` raw critical-node voltages.
     budget:
-        Sensors the greedy optimizes for (the robust prefix).
-    n_rank:
-        Total ranking length to return (>= budget; defaults to
-        ``budget``).  Entries past the greedy prefix are the remaining
-        candidates by descending marginal relevance
-        ``||sxf_m|| / sqrt(sxx_mm)`` (stable; spacing refill only).
+        Sensors the greedy picks.
 
     Returns
     -------
     (order, info)
-        ``order`` — candidate indices, robust greedy prefix first;
+        ``order`` — the ``budget`` candidate indices in pick order;
         ``info`` — ``worst_case_rss``, ``worst_case_train_error`` and
-        ``nominal_train_error`` of the prefix.
+        ``nominal_train_error`` of the picked set.
     """
     X = check_matrix(X, "X")
     F = check_matrix(F, "F", n_rows=X.shape[0])
@@ -98,9 +89,6 @@ def robust_greedy_order(
         raise ValueError(
             f"cannot select {budget} sensors from {n_candidates} candidates"
         )
-    if n_rank is None:
-        n_rank = budget
-    n_rank = min(int(n_rank), n_candidates)
 
     stats = OLSRefitStats.from_arrays(X, F)
     fc = F - stats.f_mean
@@ -129,33 +117,22 @@ def robust_greedy_order(
         in_set[step_best] = True
         best_key = step_key
 
-    prefix = np.asarray(chosen, dtype=np.int64)
+    order = np.asarray(chosen, dtype=np.int64)
     info = {
         "worst_case_rss": float(best_key[0]),
         "worst_case_train_error": max(
             mean_relative_error(
-                stats.refit(np.delete(prefix, i)).predict(
-                    X[:, np.delete(prefix, i)]
+                stats.refit(np.delete(order, i)).predict(
+                    X[:, np.delete(order, i)]
                 ),
                 F,
             )
-            for i in range(prefix.size)
+            for i in range(order.size)
         ),
         "nominal_train_error": mean_relative_error(
-            stats.refit(prefix).predict(X[:, prefix]), F
+            stats.refit(order).predict(X[:, order]), F
         ),
     }
-
-    if n_rank > budget:
-        diag = np.diag(stats.sxx)
-        marginal = np.linalg.norm(stats.sxf, axis=1) / np.sqrt(
-            np.where(diag < 1e-15, np.inf, diag)
-        )
-        marginal[in_set] = -np.inf
-        tail = np.argsort(-marginal, kind="stable")[: n_rank - budget]
-        order = np.concatenate([prefix, tail.astype(np.int64)])
-    else:
-        order = prefix
     return order, info
 
 
@@ -165,7 +142,7 @@ class RobustPlacer(Placer):
 
     name = "robust"
 
-    def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-        order, info = robust_greedy_order(X, F, budget, n_rank=n_rank)
-        ctx.meta.update(info)
+    def _rank_scope(self, X, F, budget, rng, constraints, meta):
+        order, info = robust_greedy_order(X, F, budget)
+        meta.update(info)
         return order

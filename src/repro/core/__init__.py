@@ -37,7 +37,6 @@ from repro.core.selection import (
     select_sensors,
     threshold_selection,
 )
-from repro.core.spacing import enforce_min_spacing
 
 __all__ = [
     "GroupLassoResult",
@@ -63,5 +62,4 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "SelectionResult",
     "select_sensors",
-    "enforce_min_spacing",
 ]

@@ -316,10 +316,7 @@ def fit_placement(dataset: VoltageDataset, config: PipelineConfig) -> PlacementM
 
 
 def placement_model_from_cols(
-    dataset: VoltageDataset,
-    selected_cols: np.ndarray,
-    per_core: bool = True,
-    config: Optional[PipelineConfig] = None,
+    dataset: VoltageDataset, selected_cols: np.ndarray
 ) -> PlacementModel:
     """Fit the OLS readout for an externally chosen sensor set.
 
@@ -339,20 +336,16 @@ def placement_model_from_cols(
         Training data (X, F) with per-core provenance.
     selected_cols:
         Candidate columns (dataset X indexing) of the placed sensors.
-        Duplicates are collapsed.
-    per_core:
-        Scope layout to fit: per-core scopes (each must own at least
-        one selected sensor) or one global scope.
-    config:
-        Optional config to stamp on the model (defaults to a
-        bookkeeping config whose ``budget`` is the sensor count).
+        Duplicates are collapsed.  Fitting is per core, and the model
+        carries a bookkeeping config whose ``budget`` is the sensor
+        count.
 
     Raises
     ------
     ValueError
-        If ``selected_cols`` is empty or out of range, a per-core
-        scope has no selected sensor (its blocks would be
-        unpredictable), or a column belongs to no scope.
+        If ``selected_cols`` is empty or out of range, a core has no
+        selected sensor (its blocks would be unpredictable), or a
+        column belongs to no core with blocks.
     """
     cols = np.unique(np.asarray(selected_cols, dtype=np.int64))
     if cols.size == 0:
@@ -362,9 +355,8 @@ def placement_model_from_cols(
             f"selected_cols out of range: dataset has "
             f"{dataset.n_candidates} candidates"
         )
-    if config is None:
-        config = PipelineConfig(budget=float(cols.size), per_core=per_core)
-    scope_specs = dataset.scopes(config.per_core)
+    config = PipelineConfig(budget=float(cols.size))
+    scope_specs = dataset.scopes()
 
     claimed = np.zeros(dataset.n_candidates, dtype=bool)
     scopes: List[ScopeModel] = []
@@ -404,7 +396,6 @@ def placement_model_from_cols(
     if orphans.size:
         raise ValueError(
             f"selected columns {orphans.tolist()} belong to no fitting "
-            "scope (core without blocks, or unassigned candidates); "
-            "use per_core=False to fit them globally"
+            "scope (core without blocks, or unassigned candidates)"
         )
     return PlacementModel(scopes=scopes, config=config, n_blocks=dataset.n_blocks)

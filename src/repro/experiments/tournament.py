@@ -87,9 +87,7 @@ class TournamentConfig:
     placers:
         Registry names to race.
     budget:
-        Sensors per scope for every placer.
-    per_core:
-        Per-core scopes (paper behaviour) or one global scope.
+        Sensors per core for every placer.
     n_variation:
         Varied-grid die instances to simulate (0 disables the axis).
     resistance_sigma, open_fraction:
@@ -107,7 +105,6 @@ class TournamentConfig:
 
     placers: Tuple[str, ...] = DEFAULT_PLACERS
     budget: int = 2
-    per_core: bool = True
     n_variation: int = 3
     resistance_sigma: float = 0.1
     open_fraction: float = 0.02
@@ -239,7 +236,9 @@ class TournamentResult:
             "mode": "tournament",
             "profile": self.profile,
             "budget": int(self.config.budget),
-            "per_core": bool(self.config.per_core),
+            # Placement is always per core; the key keeps the committed
+            # leaderboards and the golden fixture comparable.
+            "per_core": True,
             "emergency_threshold": _json_float(self.threshold),
             "placers": list(self.config.placers),
             "scenarios": {
@@ -282,9 +281,8 @@ class TournamentResult:
             ],
             rows=rows,
             title=(
-                f"Placement tournament — budget {self.config.budget}"
-                + (" per core" if self.config.per_core else " global")
-                + f", {len(self.benchmarks)} benchmarks, "
+                f"Placement tournament — budget {self.config.budget} "
+                f"per core, {len(self.benchmarks)} benchmarks, "
                 f"{len(self.variation_benchmarks)} variation instances, "
                 f"{len(self.config.fault_modes)} fault modes"
             ),
@@ -396,9 +394,7 @@ def _evaluate_placer(
         train, config.budget, constraints=constraints
     )
     place_s = _time.perf_counter() - t0
-    model = placement_model_from_cols(
-        train, placement.selected_cols, per_core=config.per_core
-    )
+    model = placement_model_from_cols(train, placement.selected_cols)
 
     pred = model.predict(ev.X)
     truth = any_emergency(ev.F, threshold)
@@ -475,7 +471,6 @@ def run_tournament(
     if config is None:
         config = TournamentConfig()
     constraints = PlacementConstraints(
-        per_core=config.per_core,
         emergency_threshold=data.chip.config.emergency_threshold,
         seed=config.seed,
     )
@@ -517,8 +512,7 @@ def render_leaderboard_markdown(result: TournamentResult) -> str:
         "# Placement tournament leaderboard",
         "",
         f"Profile `{result.profile or 'custom'}` — budget {cfg.budget} "
-        + ("per core" if cfg.per_core else "global")
-        + f", emergency threshold {result.threshold:.4f} V.",
+        f"per core, emergency threshold {result.threshold:.4f} V.",
         f"Scenarios: {len(result.benchmarks)} benchmarks "
         f"({', '.join(result.benchmarks)}), "
         f"{len(result.variation_benchmarks)} variation instances "

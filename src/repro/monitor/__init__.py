@@ -11,7 +11,6 @@ from repro.monitor.faults import (
     DriftFault,
     DropoutFault,
     FaultPolicy,
-    FaultSet,
     GlitchFault,
     SensorFault,
     StuckAtFault,
@@ -37,7 +36,6 @@ __all__ = [
     "StuckAtFault",
     "DriftFault",
     "GlitchFault",
-    "FaultSet",
     "FaultPolicy",
     "SCREEN_NAN",
     "SCREEN_RANGE",

@@ -22,7 +22,7 @@ index, which gives two properties the tests rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "StuckAtFault",
     "DriftFault",
     "GlitchFault",
-    "FaultSet",
     "FaultPolicy",
     "SCREEN_NAN",
     "SCREEN_RANGE",
@@ -172,38 +171,6 @@ class GlitchFault(SensorFault):
 
     def _corrupt(self, values: np.ndarray, t: np.ndarray) -> np.ndarray:
         return self.origin + np.round((values - self.origin) / self.lsb) * self.lsb
-
-
-class FaultSet:
-    """An ordered, composable collection of sensor faults.
-
-    Later faults act on the output of earlier ones (matters only when
-    two faults hit the same channel in overlapping windows).
-    """
-
-    def __init__(self, faults: Iterable[SensorFault] = ()) -> None:
-        self.faults: Tuple[SensorFault, ...] = tuple(faults)
-        for f in self.faults:
-            if not isinstance(f, SensorFault):
-                raise TypeError(f"not a SensorFault: {f!r}")
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self):
-        return iter(self.faults)
-
-    @property
-    def channels(self) -> np.ndarray:
-        """Sorted unique channels any fault touches."""
-        return np.unique(np.array([f.channel for f in self.faults], dtype=np.int64))
-
-    def apply(self, stream: np.ndarray, t0: int = 0) -> np.ndarray:
-        """Apply every fault, in order, to a ``(T, M)`` / ``(S, T, M)`` stream."""
-        out = np.array(stream, dtype=float, copy=True)
-        for fault in self.faults:
-            out = fault.apply(out, t0=t0)
-        return out
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,8 @@ from repro.baselines import (
 from tests.conftest import make_synthetic_dataset
 
 
-def place_eagle_eye(ds, n_sensors, threshold, per_core=True):
-    constraints = PlacementConstraints(
-        per_core=per_core, emergency_threshold=threshold
-    )
+def place_eagle_eye(ds, n_sensors, threshold):
+    constraints = PlacementConstraints(emergency_threshold=threshold)
     return get_placer("eagle_eye").place(ds, n_sensors, constraints)
 
 
@@ -85,10 +83,15 @@ class TestFitEagleEye:
         assert set(placement.per_core_cols) == set(ds.core_ids)
 
     def test_global_mode(self):
+        # Chip-wide, the coverage kernel ranks over every candidate.
         ds = self.make_dataset_with_noise()
-        placement = place_eagle_eye(ds, 3, 0.85, per_core=False)
-        assert placement.n_sensors == 3
-        assert placement.per_core_cols is None
+        emergency = np.any(ds.F < 0.85, axis=1)
+        order = greedy_coverage_order(ds.X, emergency, 3, 0.85)
+        assert order.shape == (3,)
+        assert np.unique(order).size == 3
+        # Candidate 3 alarms on the 50 depressed samples, all of them
+        # emergencies; no other candidate covers as many.
+        assert order[0] == 3
 
     def test_alarm_semantics(self):
         ds = self.make_dataset_with_noise()

@@ -15,7 +15,6 @@ from repro.monitor import (
     DriftFault,
     DropoutFault,
     FaultPolicy,
-    FaultSet,
     FleetMonitor,
     GlitchFault,
     StuckAtFault,
@@ -97,25 +96,6 @@ class TestInjectors:
         others = [c for c in range(3) if c != fault.channel]
         assert np.array_equal(once[:, others], stream[:, others])
 
-    def test_faultset_composes_in_order(self):
-        stream = np.full((10, 2), 0.9)
-        stuck = StuckAtFault(channel=0, start=0, value=0.7)
-        drop = DropoutFault(channel=0, start=5)
-        out = FaultSet([stuck, drop]).apply(stream)
-        assert np.all(out[:5, 0] == 0.7)
-        assert np.isnan(out[5:, 0]).all()
-        assert np.all(out[:, 1] == 0.9)
-        assert list(FaultSet([drop, stuck]).channels) == [0]
-
-    def test_faultset_disjoint_channels_commute(self):
-        rng = np.random.default_rng(3)
-        stream = rng.uniform(0.8, 1.0, (30, 4))
-        a = StuckAtFault(channel=0, start=2, value=0.85)
-        b = DriftFault(channel=3, start=5, anchor=1.0, rate=0.01)
-        assert np.array_equal(
-            FaultSet([a, b]).apply(stream), FaultSet([b, a]).apply(stream)
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DropoutFault(channel=-1)
@@ -127,8 +107,6 @@ class TestInjectors:
             DropoutFault(channel=5).apply(np.ones((4, 3)))
         with pytest.raises(ValueError):
             DropoutFault(channel=0).apply(np.ones(7))
-        with pytest.raises(TypeError):
-            FaultSet([object()])
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

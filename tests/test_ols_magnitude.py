@@ -8,9 +8,9 @@ from repro.baselines.ols_magnitude import ols_magnitude_ranking
 from tests.conftest import make_synthetic_dataset
 
 
-def place_ols_magnitude(ds, n_sensors, per_core=True):
+def place_ols_magnitude(ds, n_sensors):
     return get_placer("ols_magnitude").place(
-        ds, n_sensors, PlacementConstraints(per_core=per_core)
+        ds, n_sensors, PlacementConstraints()
     ).selected_cols
 
 
@@ -45,14 +45,14 @@ class TestOLSMagnitudeSelection:
 
     def test_count_and_sorting(self):
         ds = make_synthetic_dataset()
-        sel = place_ols_magnitude(ds, 5, per_core=False)
-        assert sel.shape == (5,)
-        assert np.array_equal(sel, np.sort(sel))
+        sel = place_ols_magnitude(ds, 5)
+        assert sel.shape == (5 * len(ds.core_ids),)
+        assert np.array_equal(sel, np.unique(sel))
 
     def test_rejects_too_many(self):
         ds = make_synthetic_dataset()
         with pytest.raises(ValueError, match="cannot select"):
-            place_ols_magnitude(ds, ds.n_candidates + 1, per_core=False)
+            place_ols_magnitude(ds, ds.n_candidates + 1)
 
 
 class TestFitOLSMagnitude:
@@ -64,6 +64,7 @@ class TestFitOLSMagnitude:
             assert (ds.candidate_cores[cols] == core).sum() == 2
 
     def test_global(self):
+        # Chip-wide, the kernel ranks every candidate exactly once.
         ds = make_synthetic_dataset()
-        cols = place_ols_magnitude(ds, 3, per_core=False)
-        assert cols.shape[0] == 3
+        order = ols_magnitude_ranking(ds.X, ds.F)
+        assert sorted(order.tolist()) == list(range(ds.n_candidates))

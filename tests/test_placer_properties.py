@@ -3,12 +3,10 @@
 Every registered placer, whatever its objective, must honour the same
 protocol-level contract:
 
-* exactly ``budget`` sensors per scope — distinct, in-bounds, sorted
+* exactly ``budget`` sensors per core — distinct, in-bounds, sorted
   dataset candidate columns;
 * per-core scoping: every selected column belongs to a core with
   blocks, and each such core contributes exactly ``budget``;
-* a min-spacing constraint is respected exactly (no pair closer than
-  the spacing) while still meeting the budget via ranking refill;
 * placements are deterministic under a fixed constraint seed.
 
 The suite parametrizes over ``available_placers()``, so any future
@@ -56,58 +54,30 @@ def _constraints(**kw):
     data_seed=st.integers(0, 3),
     rng_seed=st.integers(0, 10**6),
     budget=st.integers(1, 3),
-    per_core=st.booleans(),
 )
 @settings(max_examples=8, deadline=None)
-def test_placement_contract(name, data_seed, rng_seed, budget, per_core):
+def test_placement_contract(name, data_seed, rng_seed, budget):
     ds = _dataset(data_seed)
     placement = get_placer(name).place(
-        ds, budget, constraints=_constraints(per_core=per_core, seed=rng_seed)
+        ds, budget, constraints=_constraints(seed=rng_seed)
     )
     cols = placement.selected_cols
 
     cores = _scoped_cores(ds)
-    expected = budget * len(cores) if per_core else budget
+    expected = budget * len(cores)
     assert cols.size == expected
     assert placement.n_sensors == expected
     # Distinct, sorted, in-bounds dataset columns.
     assert np.all(np.diff(cols) > 0)
     assert cols.min() >= 0 and cols.max() < ds.n_candidates
-    if per_core:
-        for core in cores:
-            candidate_cols, _ = ds.core_view(core)
-            assert np.sum(np.isin(cols, candidate_cols)) == budget
-
-
-@pytest.mark.parametrize("name", PLACERS)
-@given(
-    data_seed=st.integers(0, 3),
-    rng_seed=st.integers(0, 10**6),
-    spacing=st.floats(1.0, 3.0),
-    budget=st.integers(1, 2),
-)
-@settings(max_examples=8, deadline=None)
-def test_spacing_respected(name, data_seed, rng_seed, spacing, budget):
-    ds = _dataset(data_seed)
-    positions = np.column_stack(
-        [np.arange(ds.n_candidates, dtype=float), np.zeros(ds.n_candidates)]
-    )
-    placement = get_placer(name).place(
-        ds,
-        budget,
-        constraints=_constraints(
-            per_core=True,
-            seed=rng_seed,
-            min_spacing=spacing,
-            positions=positions,
-        ),
-    )
-    cols = placement.selected_cols
-    assert cols.size == budget * len(_scoped_cores(ds))
-    picked = positions[cols]
-    for i in range(cols.size):
-        for j in range(i + 1, cols.size):
-            assert np.linalg.norm(picked[i] - picked[j]) >= spacing
+    assert set(placement.per_core_cols) == set(cores)
+    for core in cores:
+        candidate_cols, _ = ds.core_view(core)
+        assert np.sum(np.isin(cols, candidate_cols)) == budget
+        np.testing.assert_array_equal(
+            placement.per_core_cols[core],
+            cols[np.isin(cols, candidate_cols)],
+        )
 
 
 @pytest.mark.parametrize("name", PLACERS)
@@ -115,7 +85,7 @@ def test_spacing_respected(name, data_seed, rng_seed, spacing, budget):
 @settings(max_examples=5, deadline=None)
 def test_deterministic_under_fixed_seed(name, rng_seed):
     ds = _dataset(0)
-    constraints = _constraints(per_core=True, seed=rng_seed)
+    constraints = _constraints(seed=rng_seed)
     placer = get_placer(name)
     first = placer.place(ds, 2, constraints=constraints)
     second = placer.place(ds, 2, constraints=constraints)

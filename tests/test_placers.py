@@ -1,17 +1,14 @@
-"""Unified Placer protocol: pinned selections, ties, spacing.
+"""Unified Placer protocol: pinned selections and ties.
 
-Pins three contracts:
+Pins two contracts:
 
-* **Pinned selections** — every registered placer's per-core and
-  global selection on one synthetic dataset is a literal below; the
-  classic baselines' literals are the selections of the per-placer
-  fit functions they replaced, recorded before those were deleted.
+* **Pinned selections** — every registered placer's per-core
+  selection on one synthetic dataset is a literal below; the classic
+  baselines' literals are the selections of the per-placer fit
+  functions they replaced, recorded before those were deleted.
 * **Tie-breaking** — ties go to the *lowest* candidate index
   everywhere except ``qr_pivot`` (LAPACK's pivot order); these tests
   pin the documented policy on constructed exact-tie inputs.
-* **Spacing** — ``min_spacing`` is enforced globally across scopes
-  with refill from each scope's ranking, and an unreachable budget
-  raises instead of silently under-placing.
 """
 
 import numpy as np
@@ -28,6 +25,8 @@ from repro.baselines import (
     register_placer,
     worst_noise_ranking,
 )
+from repro.core.normalization import Standardizer
+from repro.core.pipeline import placement_model_from_cols
 from tests.conftest import make_synthetic_dataset
 
 THRESHOLD = 0.915
@@ -47,27 +46,29 @@ ALL_PLACERS = (
 
 
 #: Budget-2 selections on the ``ds`` fixture at THRESHOLD, as
-#: ``placer -> (per-core selected_cols, global selected_cols)``.  Cores
-#: 0 and 1 own candidates 0-11 and 12-23, so the per-core literal also
-#: pins each core's pair.
+#: ``placer -> selected_cols``.  Cores 0 and 1 own candidates 0-11 and
+#: 12-23, so each literal also pins each core's pair.
 PINNED = {
-    "correlation": ([0, 3, 12, 19], [7, 19]),
-    "eagle_eye": ([0, 8, 14, 19], [4, 16]),
-    "frame_potential": ([1, 9, 12, 16], [11, 21]),
-    "group_lasso": ([0, 3, 12, 19], [3, 19]),
-    "ols_magnitude": ([8, 9, 12, 14], [8, 9]),
-    "plain_lasso": ([8, 9, 12, 14], [8, 9]),
-    "qr_pivot": ([0, 2, 12, 14], [10, 12]),
-    "robust": ([0, 3, 14, 19], [0, 13]),
-    "worst_noise": ([2, 4, 13, 16], [4, 16]),
+    "correlation": [0, 3, 12, 19],
+    "eagle_eye": [0, 8, 14, 19],
+    "frame_potential": [1, 9, 12, 16],
+    "group_lasso": [0, 3, 12, 19],
+    "ols_magnitude": [8, 9, 12, 14],
+    "plain_lasso": [8, 9, 12, 14],
+    "qr_pivot": [0, 2, 12, 14],
+    "robust": [0, 3, 14, 19],
+    "worst_noise": [2, 4, 13, 16],
 }
 
 #: The ``random`` placer's pinned selections per constraints seed.
 PINNED_RANDOM = {
-    0: ([7, 9, 14, 15], [15, 19]),
-    7: ([7, 10, 18, 21], [15, 21]),
-    123: ([0, 8, 12, 22], [0, 16]),
+    0: [7, 9, 14, 15],
+    7: [7, 10, 18, 21],
+    123: [0, 8, 12, 22],
 }
+
+#: Placement is per core only; the parameter keeps the ``[True]`` ids.
+PER_CORE = pytest.mark.parametrize("per_core", [True])
 
 
 @pytest.fixture(scope="module")
@@ -75,19 +76,17 @@ def ds():
     return make_synthetic_dataset(seed=5)
 
 
-def _constraints(per_core=True, **kw):
+def _constraints(**kw):
     kw.setdefault("emergency_threshold", THRESHOLD)
-    return PlacementConstraints(per_core=per_core, **kw)
+    return PlacementConstraints(**kw)
 
 
-def _assert_pinned(ds, name, per_core, seed=0):
+def _assert_pinned(ds, name, seed=0):
     pins = PINNED_RANDOM[seed] if name == "random" else PINNED[name]
     placement = get_placer(name).place(
-        ds, 2, constraints=_constraints(per_core, seed=seed)
+        ds, 2, constraints=_constraints(seed=seed)
     )
-    np.testing.assert_array_equal(
-        placement.selected_cols, pins[0 if per_core else 1]
-    )
+    np.testing.assert_array_equal(placement.selected_cols, pins)
 
 
 def test_registry_lists_all_placers():
@@ -104,8 +103,8 @@ def test_register_placer_rejects_name_collision():
     class Impostor(Placer):
         name = "worst_noise"
 
-        def _rank_scope(self, X, F, budget, n_rank, rng, ctx):
-            return np.arange(n_rank)
+        def _rank_scope(self, X, F, budget, rng, constraints, meta):
+            return np.arange(budget)
 
     with pytest.raises(ValueError, match="already registered"):
         register_placer(Impostor)
@@ -116,39 +115,39 @@ def test_register_placer_rejects_name_collision():
 # per-placer fit functions selected before they were deleted.
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 def test_worst_noise_matches_legacy(ds, per_core):
-    _assert_pinned(ds, "worst_noise", per_core)
+    _assert_pinned(ds, "worst_noise")
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 def test_ols_magnitude_matches_legacy(ds, per_core):
-    _assert_pinned(ds, "ols_magnitude", per_core)
+    _assert_pinned(ds, "ols_magnitude")
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 def test_correlation_matches_legacy(ds, per_core):
-    _assert_pinned(ds, "correlation", per_core)
+    _assert_pinned(ds, "correlation")
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 @pytest.mark.parametrize("seed", [0, 7, 123])
 def test_random_matches_legacy(ds, per_core, seed):
-    _assert_pinned(ds, "random", per_core, seed=seed)
+    _assert_pinned(ds, "random", seed=seed)
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 def test_eagle_eye_matches_legacy(ds, per_core):
-    _assert_pinned(ds, "eagle_eye", per_core)
+    _assert_pinned(ds, "eagle_eye")
 
 
-@pytest.mark.parametrize("per_core", [True, False])
+@PER_CORE
 @pytest.mark.parametrize(
     "name",
     ["frame_potential", "group_lasso", "plain_lasso", "qr_pivot", "robust"],
 )
 def test_selection_is_pinned(ds, name, per_core):
-    _assert_pinned(ds, name, per_core)
+    _assert_pinned(ds, name)
 
 
 def test_eagle_eye_threshold_from_constraints(ds):
@@ -160,9 +159,9 @@ def test_eagle_eye_threshold_from_constraints(ds):
         ds, 2, constraints=_constraints(emergency_threshold=low)
     )
     np.testing.assert_array_equal(
-        via_low.selected_cols, PINNED["worst_noise"][0]
+        via_low.selected_cols, PINNED["worst_noise"]
     )
-    assert via_low.selected_cols.tolist() != PINNED["eagle_eye"][0]
+    assert via_low.selected_cols.tolist() != PINNED["eagle_eye"]
 
 
 def test_eagle_eye_requires_some_threshold(ds):
@@ -178,6 +177,24 @@ def test_group_lasso_count_mode_hits_budget(ds):
     for scope_meta in placement.meta["scopes"].values():
         assert scope_meta["n_above_threshold"] >= 2
         assert scope_meta["lambda"] > 0
+
+
+def test_group_lasso_standardizes_each_core_once(ds, monkeypatch):
+    # One X and one F standardization per core, however many lambda
+    # probes the count bisection runs.
+    calls = []
+    fit_transform = Standardizer.fit_transform
+
+    def counting(self, data):
+        calls.append(data.shape)
+        return fit_transform(self, data)
+
+    monkeypatch.setattr(Standardizer, "fit_transform", counting)
+    placement = get_placer("group_lasso").place(
+        ds, 2, constraints=_constraints()
+    )
+    assert sum(m["probes"] for m in placement.meta["scopes"].values()) > 2
+    assert len(calls) == 2 * len(placement.per_core_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -262,51 +279,12 @@ def test_budget_must_be_positive(ds):
 
 def test_placement_to_model_predicts(ds):
     placement = get_placer("correlation").place(ds, 2, constraints=_constraints())
-    model = placement.to_model(ds)
+    model = placement_model_from_cols(ds, placement.selected_cols)
     pred = model.predict(ds.X)
     assert pred.shape == ds.F.shape
     np.testing.assert_array_equal(
         np.sort(model.sensor_candidate_cols), placement.selected_cols
     )
-
-
-# ---------------------------------------------------------------------------
-# Spacing: global enforcement with ranking refill.
-
-
-def _line_positions(n):
-    return np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
-
-
-def test_spacing_requires_positions(ds):
-    with pytest.raises(ValueError, match="positions"):
-        get_placer("worst_noise").place(
-            ds, 2, constraints=_constraints(min_spacing=1.0)
-        )
-
-
-def test_spacing_is_enforced_with_refill(ds):
-    positions = _line_positions(ds.n_candidates)
-    constraints = _constraints(
-        per_core=False, min_spacing=2.5, positions=positions
-    )
-    placement = get_placer("worst_noise").place(ds, 4, constraints=constraints)
-    assert placement.n_sensors == 4
-    picked = positions[placement.selected_cols]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert np.linalg.norm(picked[i] - picked[j]) >= 2.5
-
-
-def test_spacing_unreachable_budget_raises(ds):
-    positions = _line_positions(ds.n_candidates)
-    constraints = _constraints(
-        per_core=False,
-        min_spacing=float(ds.n_candidates),  # at most one sensor fits
-        positions=positions,
-    )
-    with pytest.raises(ValueError, match="min_spacing"):
-        get_placer("worst_noise").place(ds, 2, constraints=constraints)
 
 
 def test_capability_flags():

@@ -24,6 +24,7 @@ from repro.baselines import (
     greedy_correlation_order,
     robust_greedy_order,
 )
+from repro.core.pipeline import placement_model_from_cols
 from repro.voltage.dataset import VoltageDataset
 from repro.voltage.metrics import mean_relative_error
 from tests.conftest import make_synthetic_dataset
@@ -101,7 +102,7 @@ def test_fallback_models_stay_within_worst_scope_bound():
     placement = get_placer("robust").place(
         ds, 2, constraints=PlacementConstraints()
     )
-    model = placement.to_model(ds)
+    model = placement_model_from_cols(ds, placement.selected_cols)
     worst_bound = max(
         meta["worst_case_train_error"]
         for meta in placement.meta["scopes"].values()
@@ -146,7 +147,7 @@ def test_robust_placer_end_to_end_on_adversarial_fixture():
     np.testing.assert_array_equal(robust.selected_cols, [0, 1])
 
     def worst_fallback_error(placement):
-        model = placement.to_model(ds)
+        model = placement_model_from_cols(ds, placement.selected_cols)
         return max(
             mean_relative_error(fb.predict(ds.X), ds.F)
             for fb in model.fallback_models().values()
